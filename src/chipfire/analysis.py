@@ -1,7 +1,7 @@
 """Verification of the stabilization theory against simulated games.
 
 Every check here turns one mathematical claim into a finite, exact test
-over a recorded trace:
+over a recorded orbit:
 
 - core invariants: candy conservation, firing never gains, the set of
   vertices holding at least twice their degree only shrinks;
@@ -14,6 +14,12 @@ over a recorded trace:
   within n * diameter * c rounds and no vertex idles more than
   diameter * c consecutive rounds before stabilization.
 
+The battery walks each orbit once (parallel._record_orbit), keeping the
+states 0..T and the tuple each round fired: the whole game for a
+stabilizing configuration, preperiod plus two periods for an oscillating
+one.  Each check family is one fold over those two sequences; the public
+check_* functions feed the same folds from a GameTrace.
+
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
 Traces are finite but sufficient: once an above-threshold game reaches
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations, islice
+from operator import ge, le, sub
+from typing import Iterable, Optional, Sequence
 
 from .errors import Disconnected, InvalidGraph
 from .graph import Graph, stabilization_threshold, validate
@@ -38,11 +46,9 @@ from .oracle import (
 )
 from .parallel import (
     Configuration,
-    EventuallyPeriodic,
     GameTrace,
-    Outcome,
     Stabilized,
-    StopReason,
+    _record_orbit,
     _step_raw,
     classify,
     run,
@@ -132,29 +138,24 @@ def _abundant_count(candy: Sequence[int], degree: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trace-level internals, shared by the public checks and the battery
+# check families: folds over an orbit's states (states[t] after t rounds)
+# and fired sets (fired[t - 1] fired in round t), shared by the public
+# checks and the battery
 
 
-def _core_checks(g: Graph, trace: GameTrace) -> list[CheckResult]:
-    c = trace.initial.total
-    degree = g.degree
-    conservation = CheckResult("conservation", PASS)
-    no_gain = CheckResult("no_gain", PASS)
-    monotone = CheckResult("abundant_monotone", PASS)
-    for t in range(len(trace.rounds) + 1):
-        if sum(trace.config_at(t).candy) != c:
+def _core_checks(g: Graph, states, fired, c: int) -> list[CheckResult]:
+    twice = [2 * d for d in g.degree]
+    conservation = no_gain = monotone = None
+    prev = None
+    for t, cur in enumerate(states):
+        if conservation is None and sum(cur) != c:
             conservation = CheckResult(
                 "conservation",
                 FAIL,
-                {"round": t, "observed": sum(trace.config_at(t).candy), "expected": c},
+                {"round": t, "observed": sum(cur), "expected": c},
             )
-            break
-    for t in range(1, len(trace.rounds) + 1):
-        prev = trace.config_at(t - 1).candy
-        cur = trace.config_at(t).candy
-        rec = trace.rounds[t - 1]
-        if no_gain.status == PASS:
-            for v in sorted(rec.fired):
+        if t and no_gain is None:
+            for v in sorted(fired[t - 1]):
                 if cur[v] > prev[v]:
                     no_gain = CheckResult(
                         "no_gain",
@@ -162,70 +163,81 @@ def _core_checks(g: Graph, trace: GameTrace) -> list[CheckResult]:
                         {"round": t, "vertex": v, "before": prev[v], "after": cur[v]},
                     )
                     break
-        if monotone.status == PASS:
-            for v in range(g.n):
-                if cur[v] >= 2 * degree[v] and prev[v] < 2 * degree[v]:
+        if t and monotone is None:
+            for v, bar in enumerate(twice):
+                if cur[v] >= bar > prev[v]:
                     monotone = CheckResult(
                         "abundant_monotone",
                         FAIL,
                         {"round": t, "vertex": v, "before": prev[v], "after": cur[v]},
                     )
                     break
-        if no_gain.status == FAIL and monotone.status == FAIL:
+        if conservation and no_gain and monotone:
             break
-    return [conservation, no_gain, monotone]
-
-
-def _gap_checks(g: Graph, trace: GameTrace) -> list[CheckResult]:
-    c = trace.initial.total
-    adjacent = CheckResult("adjacent_pass_gap", PASS)
-    pairwise = CheckResult("pairwise_pass_gap", PASS)
-    pair_bounds = [
-        (u, w, g.distance[u][w] * c)
-        for u in range(g.n)
-        for w in range(u + 1, g.n)
+        prev = cur
+    return [
+        conservation or CheckResult("conservation", PASS),
+        no_gain or CheckResult("no_gain", PASS),
+        monotone or CheckResult("abundant_monotone", PASS),
     ]
-    for t in range(len(trace.rounds) + 1):
-        p = trace.pass_at(t)
-        if adjacent.status == PASS:
-            for u, w in g.edges:
-                gap = abs(p[u] - p[w])
-                if gap > c:
-                    adjacent = CheckResult(
-                        "adjacent_pass_gap",
-                        FAIL,
-                        {"round": t, "pair": [u, w], "observed": gap, "bound": c},
-                    )
-                    break
-        if pairwise.status == PASS:
-            for u, w, bound in pair_bounds:
-                gap = abs(p[u] - p[w])
-                if gap > bound:
-                    pairwise = CheckResult(
-                        "pairwise_pass_gap",
-                        FAIL,
-                        {"round": t, "pair": [u, w], "observed": gap, "bound": bound},
-                    )
-                    break
-        if adjacent.status == FAIL and pairwise.status == FAIL:
-            break
-    return [adjacent, pairwise]
 
 
-def _firing_checks(g: Graph, trace: GameTrace) -> tuple[list[CheckResult], Optional[int]]:
+def _gap_checks(g: Graph, fired, c: int) -> list[CheckResult]:
+    """Cumulative fire-count gaps, accumulated round by round.
+
+    Along a shortest path a pair's gap is at most the sum of its edge
+    gaps, so no pair exceeds dist * c in a round where every edge is
+    within c; and an edge is itself a pair at distance 1.  Both checks
+    therefore first fail in the same round, the first whose largest edge
+    gap exceeds c, and the all-pairs scan runs only there.
+    """
+    us = [u for u, _ in g.edges]
+    ws = [w for _, w in g.edges]
+    cum = [0] * g.n
+    for t, f in enumerate(fired, 1):
+        for v in f:
+            cum[v] += 1
+        gaps = list(map(abs, map(sub, map(cum.__getitem__, us), map(cum.__getitem__, ws))))
+        if max(gaps) > c:
+            i = next(i for i, gap in enumerate(gaps) if gap > c)
+            u, w = next(
+                (u, w)
+                for u, w in combinations(range(g.n), 2)
+                if abs(cum[u] - cum[w]) > g.distance[u][w] * c
+            )
+            return [
+                CheckResult(
+                    "adjacent_pass_gap",
+                    FAIL,
+                    {"round": t, "pair": [us[i], ws[i]], "observed": gaps[i], "bound": c},
+                ),
+                CheckResult(
+                    "pairwise_pass_gap",
+                    FAIL,
+                    {
+                        "round": t,
+                        "pair": [u, w],
+                        "observed": abs(cum[u] - cum[w]),
+                        "bound": g.distance[u][w] * c,
+                    },
+                ),
+            ]
+    return [CheckResult("adjacent_pass_gap", PASS), CheckResult("pairwise_pass_gap", PASS)]
+
+
+def _firing_checks(g: Graph, states, fired) -> tuple[list[CheckResult], Optional[int]]:
     """The three above-threshold firing guarantees; returns (checks, witness)."""
-    degree = g.degree
     nonempty = CheckResult("fired_nonempty", PASS)
-    for rec in trace.rounds:
-        if not rec.fired:
-            nonempty = CheckResult("fired_nonempty", FAIL, {"round": rec.t})
+    for t, f in enumerate(fired, 1):
+        if not f:
+            nonempty = CheckResult("fired_nonempty", FAIL, {"round": t})
             break
     common = set(range(g.n))
     empty_at = None
-    for rec in trace.rounds:
-        common &= rec.fired
-        if not common and empty_at is None:
-            empty_at = rec.t
+    for t, f in enumerate(fired, 1):
+        common.intersection_update(f)
+        if not common:
+            empty_at = t
             break
     witness = min(common) if common else None
     always = (
@@ -233,15 +245,12 @@ def _firing_checks(g: Graph, trace: GameTrace) -> tuple[list[CheckResult], Optio
         if witness is not None
         else CheckResult("always_firing", FAIL, {"empty_after_round": empty_at})
     )
+    twice = [2 * d for d in g.degree]
+    short = [bar - 2 for bar in twice]
     pigeonhole = CheckResult("surplus_pigeonhole", PASS)
-    for t in range(len(trace.rounds) + 1):
-        candy = trace.config_at(t).candy
-        deficient = None
-        for v in range(g.n):
-            if candy[v] <= 2 * degree[v] - 2:
-                deficient = v
-                break
-        if deficient is not None and _abundant_count(candy, degree) == 0:
+    for t, candy in enumerate(states):
+        if any(map(le, candy, short)) and not any(map(ge, candy, twice)):
+            deficient = next(v for v in range(g.n) if candy[v] <= short[v])
             pigeonhole = CheckResult(
                 "surplus_pigeonhole",
                 FAIL,
@@ -251,25 +260,13 @@ def _firing_checks(g: Graph, trace: GameTrace) -> tuple[list[CheckResult], Optio
     return [nonempty, always, pigeonhole], witness
 
 
-def _max_idle_gap(trace: GameTrace, v: int, upto: int) -> int:
-    longest = cur = 0
-    for t in range(1, upto + 1):
-        if v in trace.rounds[t - 1].fired:
-            cur = 0
-        else:
-            cur += 1
-            if cur > longest:
-                longest = cur
-    return longest
-
-
 def _bound_checks(
-    g: Graph, trace: GameTrace, bound: int, gap_bound: int
+    g: Graph, states, fired, stab: Optional[int], bound: int, gap_bound: int
 ) -> list[CheckResult]:
-    if trace.stop is not StopReason.FIXED_POINT or trace.stab_round > bound:
-        stab = trace.stab_round
+    """Round bound and idle gaps; stab is None when the orbit never stabilized."""
+    if stab is None or stab > bound:
         fail = {
-            "config": list(trace.initial.candy),
+            "config": list(states[0]),
             "stab_round": stab,
             "bound": bound,
         }
@@ -277,13 +274,21 @@ def _bound_checks(
             CheckResult("stabilized_within_bound", FAIL, fail),
             CheckResult("idle_gap", FAIL, fail),
         ]
-    stab = trace.stab_round
     within = CheckResult(
         "stabilized_within_bound", PASS, detail=f"stab_round {stab} <= {bound}"
     )
+    # longest run of idle rounds per vertex within rounds 1..stab, in one pass
+    last = [0] * g.n  # round each vertex last fired, 0 before the first round
+    longest = [0] * g.n
+    for t, f in enumerate(islice(fired, stab), 1):
+        for v in f:
+            idle = t - last[v] - 1
+            if idle > longest[v]:
+                longest[v] = idle
+            last[v] = t
     idle = CheckResult("idle_gap", PASS)
     for v in range(g.n):
-        gap = _max_idle_gap(trace, v, stab)
+        gap = max(longest[v], stab - last[v])
         if gap > gap_bound:
             idle = CheckResult(
                 "idle_gap",
@@ -294,13 +299,21 @@ def _bound_checks(
     return [within, idle]
 
 
+def _sequences(trace: GameTrace):
+    """A trace's (states, fired), as the check families take them."""
+    states = [trace.initial.candy]
+    states += [rec.config.candy for rec in trace.rounds]
+    return states, [rec.fired for rec in trace.rounds]
+
+
 # ---------------------------------------------------------------------------
 # public per-claim checks
 
 
 def check_core_invariants(g: Graph, trace: GameTrace) -> VerificationReport:
     """Conservation, no-gain-by-firing, and abundant-set shrinkage on a trace."""
-    checks = _core_checks(g, trace)
+    states, fired = _sequences(trace)
+    checks = _core_checks(g, states, fired, trace.initial.total)
     return VerificationReport(
         tuple(checks),
         {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)},
@@ -308,9 +321,13 @@ def check_core_invariants(g: Graph, trace: GameTrace) -> VerificationReport:
 
 
 def check_pass_count_gaps(g: Graph, trace: GameTrace) -> VerificationReport:
-    """Cumulative fire-count gaps: <= c across edges, <= dist * c across pairs."""
+    """Cumulative fire-count gaps: <= c across edges, <= dist * c across pairs.
+
+    The counts are accumulated from the trace's fired sets.
+    """
     _gate(g)
-    checks = _gap_checks(g, trace)
+    _, fired = _sequences(trace)
+    checks = _gap_checks(g, fired, trace.initial.total)
     return VerificationReport(
         tuple(checks),
         {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)},
@@ -334,7 +351,7 @@ def check_always_firing(g: Graph, trace: GameTrace) -> VerificationReport:
             for name in ("fired_nonempty", "always_firing", "surplus_pigeonhole")
         ]
         return VerificationReport(tuple(checks), meta)
-    checks, witness = _firing_checks(g, trace)
+    checks, witness = _firing_checks(g, *_sequences(trace))
     meta["always_firing_witness"] = witness
     return VerificationReport(tuple(checks), meta)
 
@@ -361,8 +378,8 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
     bound = g.n * d * c
     gap_bound = d * c
     trace = run(g, initial, bound + 1)
-    checks = _bound_checks(g, trace, bound, gap_bound)
     stab = trace.stab_round
+    checks = _bound_checks(g, *_sequences(trace), stab, bound, gap_bound)
     meta.update(
         {
             "bound": bound,
@@ -375,36 +392,38 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the full battery: one classification, one trace, every check
+# the full battery: one walk of the orbit, every check folded over it
 
 
 def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
-    """Classify one configuration exactly and run every check on its trace.
+    """Classify one configuration exactly and run every check on its orbit.
 
-    The trace window is the whole game for stabilizing configurations and
-    preperiod + two full periods for oscillating ones, which exercises
-    every reachable state of the orbit.
+    The orbit is walked once.  Its record is the whole game for
+    stabilizing configurations and preperiod + two full periods for
+    oscillating ones, which exercises every reachable state of the orbit.
+    state_cap bounds the walk's visited map as it bounds classify's.
     """
     _gate(g)
+    return _battery(g, config, state_cap)
+
+
+def _battery(g: Graph, config, state_cap: Optional[int]) -> VerificationReport:
+    """verify_battery on a graph the caller has already gated."""
     initial = config if isinstance(config, Configuration) else Configuration.of(config)
     c = initial.total
     threshold = stabilization_threshold(g)
     d = g.diameter
-    outcome = classify(g, initial, state_cap=state_cap)
-    stabilized = isinstance(outcome, Stabilized)
-    if stabilized:
-        trace = run(g, initial, outcome.stab_round + 1)
-    else:
-        trace = run(g, initial, outcome.preperiod + 2 * outcome.period)
-    checks: list[CheckResult] = []
-    checks.extend(_core_checks(g, trace))
-    checks.extend(_gap_checks(g, trace))
+    states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
+    stabilized = period == 1
+    stab = preperiod if stabilized else None
+    checks = _core_checks(g, states, fired, c)
+    checks.extend(_gap_checks(g, fired, c))
     applicable = c >= threshold
     witness = None
     if applicable:
-        firing, witness = _firing_checks(g, trace)
+        firing, witness = _firing_checks(g, states, fired)
         checks.extend(firing)
-        checks.extend(_bound_checks(g, trace, g.n * d * c, d * c))
+        checks.extend(_bound_checks(g, states, fired, stab, g.n * d * c, d * c))
     else:
         checks.extend(
             CheckResult(name, NOT_APPLICABLE, detail=f"c={c} below threshold {threshold}")
@@ -419,20 +438,19 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
     if stabilized:
         checks.append(CheckResult("stabilizes", PASS))
     else:
-        cycle_min = min(_cycle_states(g, initial.candy, outcome.preperiod, outcome.period))
+        cycle_min = min(states[preperiod:preperiod + period])
         checks.append(
             CheckResult(
                 "stabilizes",
                 FAIL,
                 {
                     "config": list(initial.candy),
-                    "preperiod": outcome.preperiod,
-                    "period": outcome.period,
+                    "preperiod": preperiod,
+                    "period": period,
                     "cycle_min": list(cycle_min),
                 },
             )
         )
-    stab = outcome.stab_round if stabilized else None
     metadata = {
         "graph": {"n": g.n, "m": g.m, "diameter": d, "connected": g.connected},
         "c": c,
@@ -441,13 +459,13 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
         "gap_bound": d * c if applicable else None,
         "outcome": "stabilized" if stabilized else "periodic",
         "stab_round": stab,
-        "preperiod": None if stabilized else outcome.preperiod,
-        "period": None if stabilized else outcome.period,
+        "preperiod": None if stabilized else preperiod,
+        "period": None if stabilized else period,
         "slack": (g.n * d * c - stab) if (applicable and stab is not None) else None,
         "always_firing_witness": witness,
         "abundant_start": _abundant_count(initial.candy, g.degree),
-        "abundant_end": _abundant_count(trace.final.candy, g.degree),
-        "rounds_recorded": len(trace.rounds),
+        "abundant_end": _abundant_count(states[-1], g.degree),
+        "rounds_recorded": len(fired),
         "finite_check_note": FINITE_CHECK_NOTE,
     }
     return VerificationReport(tuple(checks), metadata)
@@ -489,18 +507,13 @@ def _named_bound(g: Graph, comp) -> Optional[dict]:
             f"bound check needs c >= {threshold}; use 'stabilizes' below the threshold"
         )
     report = check_stabilization_bound(g, comp)
-    return _first_failure(report)
+    return _first_failure(report.checks)
 
 
 def _named_pass_gaps(g: Graph, comp) -> Optional[dict]:
-    report = verify_battery(g, comp)
-    failure = None
-    for name in ("adjacent_pass_gap", "pairwise_pass_gap"):
-        c = report.get(name)
-        if c.status == FAIL:
-            failure = {"check": name, **(c.counterexample or {})}
-            break
-    return failure
+    _gate(g)
+    _, fired, _, _ = _record_orbit(g, comp)
+    return _first_failure(_gap_checks(g, fired, sum(comp)))
 
 
 def _named_always_firing(g: Graph, comp) -> Optional[dict]:
@@ -508,31 +521,23 @@ def _named_always_firing(g: Graph, comp) -> Optional[dict]:
     threshold = stabilization_threshold(g)
     if c < threshold:
         raise ValueError(f"always_firing check needs c >= {threshold}")
-    report = verify_battery(g, comp)
-    for name in ("fired_nonempty", "always_firing", "surplus_pigeonhole"):
-        r = report.get(name)
-        if r.status == FAIL:
-            return {"check": name, **(r.counterexample or {})}
-    return None
+    _gate(g)
+    states, fired, _, _ = _record_orbit(g, comp)
+    return _first_failure(_firing_checks(g, states, fired)[0])
 
 
 def _named_core(g: Graph, comp) -> Optional[dict]:
-    outcome = classify(g, comp)
-    if isinstance(outcome, Stabilized):
-        trace = run(g, comp, outcome.stab_round + 1)
-    else:
-        trace = run(g, comp, outcome.preperiod + 2 * outcome.period)
-    report = check_core_invariants(g, trace)
-    return _first_failure(report)
+    states, fired, _, _ = _record_orbit(g, comp)
+    return _first_failure(_core_checks(g, states, fired, sum(comp)))
 
 
 def _named_battery(g: Graph, comp) -> Optional[dict]:
     report = verify_battery(g, comp)
-    return _first_failure(report)
+    return _first_failure(report.checks)
 
 
-def _first_failure(report: VerificationReport) -> Optional[dict]:
-    for c in report.checks:
+def _first_failure(checks: Iterable[CheckResult]) -> Optional[dict]:
+    for c in checks:
         if c.status == FAIL:
             out = {"check": c.name, **(c.counterexample or {})}
             if c.name == "stabilizes" and "cycle_min" in out:
@@ -592,7 +597,7 @@ def verify_corpus(
     checked = 0
     failing_config = None
     for comp in stream:
-        report = verify_battery(g, comp, state_cap=state_cap)
+        report = _battery(g, comp, state_cap)
         checked += 1
         for result in report.checks:
             slot = agg[result.name]
@@ -669,7 +674,7 @@ def sweep_experiment(
     for ci, c in enumerate(c_values):
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
-            report = verify_battery(g, cfg, state_cap=state_cap)
+            report = _battery(g, cfg, state_cap)
             md = report.metadata
             stabilized = md["outcome"] == "stabilized"
             rows.append(
@@ -847,9 +852,10 @@ def random_instance_suite(
             n = 2 + rng.below(n_max - 1)
         p = p_choices[rng.below(len(p_choices))] if kind == "random_connected" else None
         g = generate(kind, n, p=p, seed=rng.next_u64())
+        _gate(g)
         c = stabilization_threshold(g)
         cfg = random_config(g.n, c, rng.next_u64())
-        report = verify_battery(g, cfg, state_cap=state_cap)
+        report = _battery(g, cfg, state_cap)
         md = report.metadata
         row = {
             "instance": i,

@@ -401,9 +401,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -2,8 +2,9 @@
 
 Vertices are always 0..n-1.  Every Graph carries its full distance matrix,
 computed eagerly by BFS from every source (O(n*(n+m))); at the scales this
-package targets that is cheaper than caching logic, and it makes diameter
-and pairwise-distance checks free at verification time.
+package targets that is cheaper than caching logic.  It gives the diameter,
+and the pairwise pass-count gap check reads it in the one round it scans
+every pair, which makes that scan O(n^2).
 """
 
 from __future__ import annotations

@@ -239,6 +239,49 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
     return _outcome(mu, lam, entry)
 
 
+def _record_orbit(g: Graph, init, state_cap=None):
+    """Walk the orbit once like classify, recording what it steps through.
+
+    Returns (states, fired, preperiod, period): states[t] is the state
+    after t rounds and fired[t - 1] the tuple that fired in round t.  The
+    record runs through the round that detects a fixed point, or through
+    the preperiod plus two periods of a cycle; the second period is copied
+    from the first rather than stepped again.  Past state_cap the visited
+    map gives way to classify's constant-memory finder and step budget,
+    and the record is stepped out to the same length.
+    """
+    candy = _coerce(g, init)
+    cap = _default_state_cap() if state_cap is None else state_cap
+    adjacency, degree = g.adjacency, g.degree
+    seen = {candy: 0}  # insertion order is orbit order
+    fired = []
+    x = candy
+    while True:
+        x, f = _step_raw(adjacency, degree, x)
+        fired.append(f)
+        j = seen.get(x)
+        if j is not None:
+            preperiod, period = j, len(fired) - j
+            states = list(seen)
+            states.append(x)
+            if period > 1:
+                states += states[preperiod + 1:]
+                fired += fired[preperiod:]
+            return states, fired, preperiod, period
+        if len(seen) >= cap:
+            break
+        seen[x] = len(fired)
+    preperiod, period, _ = _brent(adjacency, degree, candy, _BRENT_BUDGET_FACTOR * cap)
+    states = list(seen)
+    states.append(x)
+    rounds = preperiod + (1 if period == 1 else 2 * period)
+    while len(fired) < rounds:
+        x, f = _step_raw(adjacency, degree, x)
+        states.append(x)
+        fired.append(f)
+    return states, fired, preperiod, period
+
+
 def _outcome(preperiod: int, period: int, state) -> Outcome:
     if period == 1:
         return Stabilized(stab_round=preperiod, fixed=Configuration.of(state))

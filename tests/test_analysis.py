@@ -1,5 +1,7 @@
 """Claim-level checks, the battery, corpus drivers, and experiment CSVs."""
 
+from collections import deque
+
 import pytest
 
 import chipfire as cf
@@ -11,7 +13,8 @@ from chipfire.analysis import (
     SUITE_COLUMNS,
     SWEEP_COLUMNS,
 )
-from chipfire.errors import Disconnected, InvalidGraph
+from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted
+from conftest import naive_orbit, neighbor_map
 
 
 def test_check_order_covers_battery(c3):
@@ -53,6 +56,95 @@ class TestPassCountGaps:
         trace = cf.run(g, [3], 5)
         with pytest.raises(InvalidGraph):
             cf.check_pass_count_gaps(g, trace)
+
+
+def _hand_trace(g, initial, fired_sets):
+    """A trace built by hand: only its fired sets and pass counts are
+    meaningful, every configuration is the initial one."""
+    initial = cf.Configuration.of(initial)
+    cum = [0] * g.n
+    rounds, passes = [], []
+    for t, fired in enumerate(fired_sets, 1):
+        for v in fired:
+            cum[v] += 1
+        rounds.append(cf.RoundRecord(t, frozenset(fired), initial))
+        passes.append(tuple(cum))
+    return cf.GameTrace(initial, tuple(rounds), tuple(passes), cf.StopReason.BUDGET)
+
+
+def _brute_force_gaps(g, trace):
+    """First violation of each gap claim, scanning every round and every
+    pair with distances from a fresh BFS; None where the claim holds."""
+    neighbors = neighbor_map(g)
+    dist = []
+    for src in range(g.n):
+        d = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in neighbors[u]:
+                if w not in d:
+                    d[w] = d[u] + 1
+                    queue.append(w)
+        dist.append(d)
+    c = trace.initial.total
+    adjacent = pairwise = None
+    for t in range(len(trace.rounds) + 1):
+        p = trace.pass_at(t)
+        for u in range(g.n):
+            for w in range(u + 1, g.n):
+                gap = abs(p[u] - p[w])
+                if adjacent is None and dist[u][w] == 1 and gap > c:
+                    adjacent = {"round": t, "pair": [u, w], "observed": gap, "bound": c}
+                if pairwise is None and gap > dist[u][w] * c:
+                    pairwise = {"round": t, "pair": [u, w], "observed": gap,
+                                "bound": dist[u][w] * c}
+    return adjacent, pairwise
+
+
+def _gap_counterexamples(g, trace):
+    report = cf.check_pass_count_gaps(g, trace)
+    return tuple(report.get(name).counterexample
+                 for name in ("adjacent_pass_gap", "pairwise_pass_gap"))
+
+
+class TestPairwiseShortcut:
+    """The all-pairs scan runs only in the first round with an edge gap above c.
+
+    An edge is a pair at distance 1, so no pair can first exceed
+    dist * c later than that round; what the shortcut must get right is
+    which pair it reports there, and that rounds whose large gaps are all
+    between non-adjacent vertices within dist * c never fail.
+    """
+
+    def test_first_violating_pair_is_not_the_edge(self, p4):
+        # c = 1; pass counts (1,0,0,0), (2,1,0,0), (3,2,0,0), (3,2,1,1):
+        # in round 2 pair (0, 2) sits exactly at its bound 2; in round 3
+        # edge (1, 2) exceeds c, but pair (0, 2) comes first in pair order
+        trace = _hand_trace(p4, [1, 0, 0, 0], [{0}, {0, 1}, {0, 1}, {2, 3}])
+        adjacent, pairwise = _gap_counterexamples(p4, trace)
+        assert adjacent == {"round": 3, "pair": [1, 2], "observed": 2, "bound": 1}
+        assert pairwise == {"round": 3, "pair": [0, 2], "observed": 3, "bound": 2}
+        assert (adjacent, pairwise) == _brute_force_gaps(p4, trace)
+
+    def test_wide_gaps_within_distance_bound_pass(self, p4):
+        # every edge gap stays at c = 1 while pair (0, 3) reaches 3 = dist * c
+        trace = _hand_trace(p4, [1, 0, 0, 0], [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}])
+        assert cf.check_pass_count_gaps(p4, trace).ok
+        assert _gap_counterexamples(p4, trace) == (None, None)
+        assert _brute_force_gaps(p4, trace) == (None, None)
+
+    def test_random_traces_match_brute_force(self):
+        rng = cf.SplitMix64(2024)
+        for i in range(300):
+            n = 3 + rng.below(5)
+            g = cf.generate("random_connected", n, p=0.5, seed=rng.next_u64())
+            initial = [0] * n
+            initial[0] = rng.below(3)
+            fired_sets = [{v for v in range(n) if rng.chance(0.4)}
+                          for _ in range(1 + rng.below(12))]
+            trace = _hand_trace(g, initial, fired_sets)
+            assert _gap_counterexamples(g, trace) == _brute_force_gaps(g, trace), i
 
 
 class TestAlwaysFiring:
@@ -114,6 +206,28 @@ class TestBattery:
         parsed = json.loads(report.to_json())
         assert parsed["ok"] is True
         assert [c["name"] for c in parsed["checks"]] == list(CHECK_ORDER)
+
+
+@pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
+def test_battery_walk_matches_reference_at_any_cap(spec):
+    g = cf.generate(*spec)
+    for c in range(cf.stabilization_threshold(g) + 1):
+        for comp in cf.enumerate_configs(g.n, c):
+            report = cf.verify_battery(g, comp)
+            md = report.metadata
+            mu, lam = naive_orbit(g, comp)
+            stabilized = lam == 1
+            assert md["outcome"] == ("stabilized" if stabilized else "periodic"), comp
+            assert md["stab_round"] == (mu if stabilized else None), comp
+            assert md["preperiod"] == (None if stabilized else mu), comp
+            assert md["period"] == (None if stabilized else lam), comp
+            assert md["rounds_recorded"] == (mu + 1 if stabilized else mu + 2 * lam), comp
+            # shrinking the cap moves the walk onto the cycle finder, never the answer
+            try:
+                small = cf.verify_battery(g, comp, state_cap=2)
+            except ResourceExhausted:
+                continue
+            assert small.to_json() == report.to_json(), comp
 
 
 class TestVerifyCorpus:
@@ -241,3 +355,24 @@ def test_named_checks_threshold_gates(c3):
         cf.NAMED_CHECKS["bound"](c3, (1, 0, 0))
     with pytest.raises(ValueError):
         cf.NAMED_CHECKS["always_firing"](c3, (1, 0, 0))
+
+
+def test_named_checks_agree_with_battery_rows(c4):
+    families = {
+        "core": ("conservation", "no_gain", "abundant_monotone"),
+        "pass_gaps": ("adjacent_pass_gap", "pairwise_pass_gap"),
+        "always_firing": ("fired_nonempty", "always_firing", "surplus_pigeonhole"),
+    }
+    threshold = cf.stabilization_threshold(c4)
+    for c in range(threshold + 2):
+        for comp in cf.enumerate_configs(c4.n, c):
+            report = cf.verify_battery(c4, comp)
+            for name, rows in families.items():
+                if name == "always_firing" and c < threshold:
+                    continue
+                failing = [r for r in rows if report.get(r).status == FAIL]
+                expected = None
+                if failing:
+                    expected = {"check": failing[0],
+                                **report.get(failing[0]).counterexample}
+                assert cf.NAMED_CHECKS[name](c4, comp) == expected, (name, comp)
