@@ -18,7 +18,9 @@ The battery walks each orbit once (parallel._record_orbit), keeping the
 states 0..T and the tuple each round fired: the whole game for a
 stabilizing configuration, preperiod plus two periods for an oscillating
 one.  Each check family is one fold over those two sequences; the public
-check_* functions feed the same folds from a GameTrace.
+check_* functions feed the same folds from a GameTrace, except
+check_stabilization_bound, which walks the game itself on bare tuples
+(parallel._walk, the bounded walk behind run).
 
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
@@ -48,10 +50,11 @@ from .parallel import (
     Configuration,
     GameTrace,
     Stabilized,
+    _coerce,
     _record_orbit,
     _step_raw,
+    _walk,
     classify,
-    run,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -261,12 +264,12 @@ def _firing_checks(g: Graph, states, fired) -> tuple[list[CheckResult], Optional
 
 
 def _bound_checks(
-    g: Graph, states, fired, stab: Optional[int], bound: int, gap_bound: int
+    g: Graph, start, fired, stab: Optional[int], bound: int, gap_bound: int
 ) -> list[CheckResult]:
     """Round bound and idle gaps; stab is None when the orbit never stabilized."""
     if stab is None or stab > bound:
         fail = {
-            "config": list(states[0]),
+            "config": list(start),
             "stab_round": stab,
             "bound": bound,
         }
@@ -377,9 +380,13 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
         return VerificationReport(tuple(checks), meta)
     bound = g.n * d * c
     gap_bound = d * c
-    trace = run(g, initial, bound + 1)
-    stab = trace.stab_round
-    checks = _bound_checks(g, *_sequences(trace), stab, bound, gap_bound)
+    candy = _coerce(g, initial)
+    fired, stab = [], None
+    for t, (_, f, fixed) in enumerate(_walk(g, candy, bound + 1)):
+        fired.append(f)
+        if fixed:
+            stab = t  # the detecting round t + 1 re-produced round t
+    checks = _bound_checks(g, candy, fired, stab, bound, gap_bound)
     meta.update(
         {
             "bound": bound,
@@ -423,7 +430,7 @@ def _battery(g: Graph, config, state_cap: Optional[int]) -> VerificationReport:
     if applicable:
         firing, witness = _firing_checks(g, states, fired)
         checks.extend(firing)
-        checks.extend(_bound_checks(g, states, fired, stab, g.n * d * c, d * c))
+        checks.extend(_bound_checks(g, states[0], fired, stab, g.n * d * c, d * c))
     else:
         checks.extend(
             CheckResult(name, NOT_APPLICABLE, detail=f"c={c} below threshold {threshold}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import Disconnected, EmptyGraph, InvalidGraph, ParseError, Unsatisfiable
@@ -42,9 +43,12 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def diameter(self) -> int:
-        """Largest pairwise distance. Raises Disconnected when undefined."""
+        """Largest pairwise distance, computed on first access and kept.
+
+        Raises Disconnected when undefined (nothing is cached then).
+        """
         if not self.connected:
             raise Disconnected("diameter requires a connected graph")
         return max(max(row) for row in self.distance)

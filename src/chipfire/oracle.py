@@ -5,7 +5,11 @@ into n parts.  Everything here fixes one enumeration convention
 (ascending lexicographic order on the candy tuples, so (0, 0, c) is
 rank 0 and (c, 0, 0) is the last) and builds counting, enumeration,
 unranking, uniform sampling, and exhaustive verification on top of it.  Counting is
-exact stars-and-bars: C(c + n - 1, n - 1).
+exact stars-and-bars: C(c + n - 1, n - 1).  Ranking and unranking walk the
+blocks of that order with one binomial per call, then O(n + c) exact
+updates by small integers (C(N - 1, k) = C(N, k) * (N - k) / N within a
+position, C(N - 1, k - 1) = C(N, k) * k / N to the next) instead of one
+binomial per candidate value.
 """
 
 from __future__ import annotations
@@ -79,38 +83,69 @@ def enumerate_configs(n: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[t
             return
 
 
+def _shrink(block: int, top: int, factor: int) -> int:
+    """C(top - 1, .) from block = C(top, k), exactly.
+
+    factor = top - k keeps the lower index: C(top - 1, k), the block of
+    the next value at the same position.  factor = k lowers it:
+    C(top - 1, k - 1), the block of value 0 at the next position.  Both
+    products are top times the smaller binomial, so the division is exact.
+    """
+    return block * factor // top
+
+
 def rank_composition(comp) -> int:
-    """Lexicographic rank of a composition (inverse of unrank_composition)."""
+    """Lexicographic rank of a composition (inverse of unrank_composition).
+
+    Raises ValueError for a negative part.
+    """
+    for v in comp:
+        if v < 0:
+            raise ValueError(f"negative part {v} in composition")
     n = len(comp)
-    rem = sum(comp)
+    if n < 2:
+        return 0
+    # block = C(top, k): the compositions of what is left after the value
+    # under consideration into the k + 1 later parts
+    top, k = sum(comp) + n - 2, n - 2
+    block = comb(top, k)
     rank = 0
-    for i in range(n - 1):
-        slots = n - i - 1
-        for w in range(comp[i]):
-            # completions: compositions of rem - w into the remaining slots
-            rank += comb(rem - w + slots - 1, slots - 1)
-        rem -= comp[i]
+    for part in comp[:-1]:
+        for _ in range(part):
+            rank += block
+            block = _shrink(block, top, top - k)
+            top -= 1
+        if k:
+            block = _shrink(block, top, k)
+            top, k = top - 1, k - 1
     return rank
 
 
 def unrank_composition(n: int, c: int, rank: int) -> tuple[int, ...]:
-    """The rank-th composition of c into n parts, lexicographically."""
+    """The rank-th composition of c into n parts, lexicographically.
+
+    Costs one binomial, then O(n + c) exact updates by small integers.
+    """
     total = compositions_count(n, c)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, {total})")
     out = []
     rem = c
-    for i in range(n - 1):
-        slots = n - i - 1
+    # as in rank_composition; the first block follows from total = C(top + 1, k + 1)
+    top, k = c + n - 2, n - 2
+    block = _shrink(total, top + 1, k + 1) if n > 1 else 1
+    for _ in range(n - 1):
         v = 0
-        while True:
-            block = comb(rem - v + slots - 1, slots - 1)
-            if rank < block:
-                break
+        while rank >= block:
             rank -= block
+            block = _shrink(block, top, top - k)
+            top -= 1
             v += 1
         out.append(v)
         rem -= v
+        if k:
+            block = _shrink(block, top, k)
+            top, k = top - 1, k - 1
     out.append(rem)
     return tuple(out)
 

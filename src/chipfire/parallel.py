@@ -179,23 +179,35 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
         raise ValueError("max_rounds must be >= 0")
     candy = _coerce(g, init)
     initial = Configuration.of(candy)
-    adjacency, degree = g.adjacency, g.degree
     cum = [0] * g.n
     rounds: list[RoundRecord] = []
     passes: list[tuple[int, ...]] = []
     stop = StopReason.BUDGET
-    prev = candy
-    for t in range(1, max_rounds + 1):
-        nxt, fired = _step_raw(adjacency, degree, prev)
+    for t, (nxt, fired, fixed) in enumerate(_walk(g, candy, max_rounds), 1):
         for v in fired:
             cum[v] += 1
         rounds.append(RoundRecord(t, frozenset(fired), Configuration.of(nxt)))
         passes.append(tuple(cum))
-        if nxt == prev:
+        if fixed:
             stop = StopReason.FIXED_POINT
-            break
-        prev = nxt
     return GameTrace(initial, tuple(rounds), tuple(passes), stop)
+
+
+def _walk(g: Graph, prev: tuple[int, ...], max_rounds: int):
+    """The bounded walk behind run, on bare tuples.
+
+    Yields (state, fired, fixed) for rounds 1, 2, ...: the state after the
+    round, the tuple that fired in it, and whether the round changed
+    nothing, which ends the walk.  At most max_rounds rounds.
+    """
+    adjacency, degree = g.adjacency, g.degree
+    for _ in range(max_rounds):
+        nxt, fired = _step_raw(adjacency, degree, prev)
+        fixed = nxt == prev
+        yield nxt, fired, fixed
+        if fixed:
+            return
+        prev = nxt
 
 
 def _default_state_cap() -> int:

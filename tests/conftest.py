@@ -5,6 +5,8 @@ the package (dict-of-sets adjacency, list rebuilding, no caching) so the
 two implementations can only agree by both being correct.
 """
 
+from math import comb
+
 import pytest
 
 import chipfire as cf
@@ -41,6 +43,25 @@ def naive_orbit(g, candy, limit=100_000):
         assert t <= limit, "orbit blew past the test limit"
     first = seen[tuple(x)]
     return first, t - first
+
+
+def reference_unrank(n, c, rank):
+    """The rank-th weak composition of c into n parts, lexicographically.
+
+    Counts every block afresh with math.comb, one binomial per candidate
+    value, so it shares no update rule with the package's ranking.
+    """
+    parts = []
+    left = c
+    for later in range(n - 1, 0, -1):
+        v = 0
+        while rank >= comb(left - v + later - 1, later - 1):
+            rank -= comb(left - v + later - 1, later - 1)
+            v += 1
+        parts.append(v)
+        left -= v
+    parts.append(left)
+    return tuple(parts)
 
 
 @pytest.fixture

@@ -362,13 +362,14 @@ def test_named_checks_agree_with_battery_rows(c4):
         "core": ("conservation", "no_gain", "abundant_monotone"),
         "pass_gaps": ("adjacent_pass_gap", "pairwise_pass_gap"),
         "always_firing": ("fired_nonempty", "always_firing", "surplus_pigeonhole"),
+        "bound": ("stabilized_within_bound", "idle_gap"),
     }
     threshold = cf.stabilization_threshold(c4)
     for c in range(threshold + 2):
         for comp in cf.enumerate_configs(c4.n, c):
             report = cf.verify_battery(c4, comp)
             for name, rows in families.items():
-                if name == "always_firing" and c < threshold:
+                if name in ("always_firing", "bound") and c < threshold:
                     continue
                 failing = [r for r in rows if report.get(r).status == FAIL]
                 expected = None

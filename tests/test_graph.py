@@ -77,8 +77,9 @@ class TestDistances:
     def test_disconnected_marks_unreachable(self):
         g = cf.Graph.build(4, [(0, 1), (2, 3)])
         assert g.distance[0][2] == -1
-        with pytest.raises(Disconnected):
-            g.diameter
+        for _ in range(2):  # a failed read caches nothing
+            with pytest.raises(Disconnected):
+                g.diameter
 
 
 class TestGenerate:

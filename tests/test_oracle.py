@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import chipfire as cf
 from chipfire.errors import ResourceExhausted
 from chipfire.oracle import CompositionCursor
+from conftest import reference_unrank
 
 
 def brute_force_compositions(n, c):
@@ -78,6 +79,11 @@ class TestRanking:
                     seen.add(comp)
                 assert len(seen) == total
 
+    @pytest.mark.parametrize("comp", [(-1, 3), (2, -1, 1), (-1,)])
+    def test_rank_rejects_negative_parts(self, comp):
+        with pytest.raises(ValueError):
+            cf.rank_composition(comp)
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             cf.unrank_composition(3, 2, 6)
@@ -90,6 +96,26 @@ class TestRanking:
     def test_round_trip_random(self, n, c, data):
         r = data.draw(st.integers(min_value=0, max_value=cf.compositions_count(n, c) - 1))
         assert cf.rank_composition(cf.unrank_composition(n, c, r)) == r
+
+
+class TestRankingAtScale:
+    """Ranking at sweep scale, pinned against the per-step-comb reference."""
+
+    @pytest.mark.parametrize("n,c", [(300, 5_000), (400, 6_000)])
+    def test_matches_reference(self, n, c):
+        total = cf.compositions_count(n, c)
+        rng = cf.SplitMix64(n * c)
+        for r in [0, total - 1] + [rng.below(total) for _ in range(3)]:
+            comp = reference_unrank(n, c, r)
+            assert cf.unrank_composition(n, c, r) == comp
+            assert cf.rank_composition(comp) == r
+
+    @pytest.mark.parametrize("c", [2_475, 4_950])
+    def test_random_config_matches_reference(self, c):
+        total = cf.compositions_count(300, c)
+        for seed in (1, 2):
+            rank = cf.SplitMix64(seed).below(total)
+            assert cf.random_config(300, c, seed).candy == reference_unrank(300, c, rank)
 
 
 class TestRandomConfig:
