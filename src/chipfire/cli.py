@@ -6,7 +6,8 @@ Exit codes, used consistently by every subcommand:
     1  input error (bad flags, unreadable graph, malformed spec string)
     2  simulation hit its round budget without reaching a fixed point
     3  verification found a counterexample
-    4  a resource cap (orbit store, enumeration cap) was exhausted
+    4  a resource cap (orbit store, enumeration cap, graph size from a
+       spec) was exhausted
 
 All output is machine-first JSON or CSV with fixed key order and no
 timestamps; a run manifest is embedded so identical invocations produce
@@ -39,6 +40,17 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_RESOURCE = 4
+
+# Largest graph a generator spec may ask for, checked before anything is
+# built.  Measured on one 2.1 GHz Xeon vCPU: random_tree:10000 builds in
+# 4.1 s and 30 MB (the reach bitsets hold n^2 bits, 12.5 MB per copy at
+# this cap), and the slowest sparse kind, path:10000, in 106 s.  gnp and
+# complete spend about 1.2 us on every vertex pair (a coin flip per
+# G(n, p) attempt, an edge for complete, which also holds ~240 bytes per
+# edge): gnp:1000 flips its 499 500 pairs in 0.64 s per attempt, and
+# complete:1000 builds in 0.61 s and 119 MB.
+MAX_SPEC_VERTICES = 10_000
+MAX_SPEC_PAIRS = 500_000
 
 _SPEC_KINDS = {
     "cycle": "cycle",
@@ -82,17 +94,32 @@ def _parse_graph_source(source: str) -> Graph:
             if kind == "random_connected":
                 if len(nums) != 2:
                     raise _InputError("gnp spec is gnp:<n>,<p>[,seed=S]")
-                return generate(kind, int(nums[0]), p=float(nums[1]), seed=seed)
-            if len(nums) != 1:
-                raise _InputError(f"graph spec {source!r} takes exactly one size")
-            return generate(kind, int(nums[0]), seed=seed)
+                n, p = int(nums[0]), float(nums[1])
+            else:
+                if len(nums) != 1:
+                    raise _InputError(f"graph spec {source!r} takes exactly one size")
+                n, p = int(nums[0]), None
         except ValueError as e:
             raise _InputError(f"bad graph spec {source!r}: {e}")
+        _check_spec_size(source, kind, n)
+        return generate(kind, n, p=p, seed=seed)
     try:
         text = Path(source).read_text()
     except OSError as e:
         raise _InputError(f"cannot read graph file {source!r}: {e}")
     return parse_edge_list(text)
+
+
+def _check_spec_size(source: str, kind: str, n: int) -> None:
+    if n > MAX_SPEC_VERTICES:
+        raise ResourceExhausted(
+            f"graph spec {source!r} asks for {n} vertices; the cap is {MAX_SPEC_VERTICES}"
+        )
+    pairs = n * (n - 1) // 2
+    if kind in ("random_connected", "complete") and pairs > MAX_SPEC_PAIRS:
+        raise ResourceExhausted(
+            f"graph spec {source!r} spans {pairs} vertex pairs; the cap is {MAX_SPEC_PAIRS}"
+        )
 
 
 def _parse_config_source(source: str, g: Graph) -> tuple[Configuration, Optional[int]]:

@@ -1,10 +1,13 @@
 """Finite simple undirected graphs: construction, parsing, generation, metrics.
 
-Vertices are always 0..n-1.  Every Graph carries its full distance matrix,
-computed eagerly by BFS from every source (O(n*(n+m))); at the scales this
-package targets that is cheaper than caching logic.  It gives the diameter,
-and the pairwise pass-count gap check reads it in the one round it scans
-every pair, which makes that scan O(n^2).
+Vertices are always 0..n-1.  Graph.build computes connectivity and the
+diameter in one word-parallel pass and keeps nothing of size n^2: each
+vertex's reach set is an int bitmask, and every pass ORs in the
+neighbours' masks, growing each set by one hop, in O(d * m) big-int ORs
+(the masks, n^2 bits in all, are dropped once build returns).  Pairwise
+distances come from a BFS per source row (Graph.distances_from); the
+pairwise pass-count gap check runs those only in the one round where it
+scans every pair.
 """
 
 from __future__ import annotations
@@ -26,32 +29,57 @@ _GNP_RETRIES = 200
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with precomputed metrics.
+    """Immutable simple undirected graph with its connectivity and diameter.
 
     edges are normalized (u < v) and sorted; adjacency lists are sorted.
-    distance uses -1 for unreachable pairs.
+    _diameter is the diameter of a connected graph and None otherwise;
+    read it through the diameter property.  Pairwise distances are not
+    stored: distances_from runs a BFS per call, and distance builds the
+    full matrix from it on first access only.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     degree: tuple[int, ...]
-    distance: tuple[tuple[int, ...], ...]
     connected: bool
+    _diameter: Optional[int]
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def diameter(self) -> int:
-        """Largest pairwise distance, computed on first access and kept.
-
-        Raises Disconnected when undefined (nothing is cached then).
-        """
+        """Largest pairwise distance; raises Disconnected when undefined."""
         if not self.connected:
             raise Disconnected("diameter requires a connected graph")
-        return max(max(row) for row in self.distance)
+        return self._diameter
+
+    def distances_from(self, src: int) -> list[int]:
+        """BFS distances from src to every vertex, -1 where unreachable."""
+        adjacency = self.adjacency
+        dist = [-1] * self.n
+        dist[src] = 0
+        q = deque([src])
+        while q:
+            u = q.popleft()
+            du = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = du
+                    q.append(w)
+        return dist
+
+    @cached_property
+    def distance(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n distance matrix (-1 for unreachable pairs), built on first access."""
+        return tuple(tuple(self.distances_from(src)) for src in range(self.n))
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """validate(self), run on first access and kept: a Graph is immutable."""
+        return validate(self)
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -77,26 +105,31 @@ class Graph:
             adj[v].append(u)
         adjacency = tuple(tuple(sorted(a)) for a in adj)
         degree = tuple(len(a) for a in adjacency)
-        distance = tuple(tuple(row) for row in _all_pairs_distances(n, adjacency))
-        connected = all(d >= 0 for d in distance[0])
-        return Graph(n, tuple(norm), adjacency, degree, distance, connected)
+        diameter = _reach_diameter(n, norm)
+        return Graph(n, tuple(norm), adjacency, degree, diameter is not None, diameter)
 
 
-def _all_pairs_distances(n: int, adjacency) -> list[list[int]]:
-    out = []
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    q.append(w)
-        out.append(dist)
-    return out
+def _reach_diameter(n: int, edges) -> Optional[int]:
+    """The diameter, or None when the graph is disconnected.
+
+    reach[v] is a bitmask of the vertices within `hops` hops of v, and
+    each pass ORs every neighbour's mask into it.  Every mask is full
+    after exactly diameter passes; a pass that changes no mask shows a
+    pair that no path joins.
+    """
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    hops = 0
+    while reach.count(full) < n:
+        grown = reach[:]
+        for u, v in edges:
+            grown[u] |= reach[v]
+            grown[v] |= reach[u]
+        if grown == reach:
+            return None
+        reach = grown
+        hops += 1
+    return hops
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -260,7 +293,7 @@ def validate(g: Graph) -> ValidationReport:
 
     Deliberately recomputes everything (including a fresh BFS) instead of
     trusting the constructor, so a hand-built or tampered instance is
-    caught here.
+    caught here.  Graph.validation keeps one report per instance.
     """
     simple = True
     seen = set()
@@ -282,16 +315,7 @@ def validate(g: Graph) -> ValidationReport:
     )
     reach = 1
     if g.n > 0:
-        dist = [-1] * g.n
-        dist[0] = 0
-        q = deque([0])
-        while q:
-            u = q.popleft()
-            for w in g.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        reach = sum(1 for d in dist if d >= 0)
+        reach = sum(1 for d in g.distances_from(0) if d >= 0)
     return ValidationReport(
         simple=simple,
         connected=reach == g.n,

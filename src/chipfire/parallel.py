@@ -99,11 +99,11 @@ class GameTrace:
         that vertex's candy count never changes.  Meaningful only for
         fixed-point traces; the whole-configuration stab_round is the
         contractual quantity."""
+        last = self.final.candy
         out = []
         for v in range(self.n):
             t = len(self.rounds)
-            prev = self.config_at(t).candy[v] if t >= 0 else None
-            while t > 0 and self.config_at(t - 1).candy[v] == prev:
+            while t > 0 and self.config_at(t - 1).candy[v] == last[v]:
                 t -= 1
             out.append(t)
         return tuple(out)

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 import chipfire as cf
+from chipfire import graph
 from chipfire.analysis import (
     CHECK_ORDER,
     FAIL,
@@ -355,6 +356,46 @@ def test_named_checks_threshold_gates(c3):
         cf.NAMED_CHECKS["bound"](c3, (1, 0, 0))
     with pytest.raises(ValueError):
         cf.NAMED_CHECKS["always_firing"](c3, (1, 0, 0))
+
+
+GATED_CHECKS = ("bound", "pass_gaps", "always_firing", "battery")
+
+
+class TestGateOncePerGraph:
+    def test_one_validate_across_scans(self, monkeypatch):
+        calls = []
+        real = graph.validate
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graph, "validate", counting)
+        g = cf.generate("cycle", 4)
+        for check in GATED_CHECKS:
+            result = cf.exhaustive_verify(g, 12, check)
+            assert result.passed and result.configs_checked == 455
+        assert calls == [g]
+
+    def test_exception_order(self):
+        split = cf.Graph.build(4, [(0, 1), (2, 3)])  # threshold 4
+        single = cf.Graph.build(1, [])
+        for _ in range(2):  # a kept verdict raises as the first one did
+            for check in GATED_CHECKS:
+                # the enumeration cap comes before any check runs
+                with pytest.raises(ResourceExhausted):
+                    cf.exhaustive_verify(split, 3, check, cap=2)
+                with pytest.raises(Disconnected):
+                    cf.exhaustive_verify(split, 4, check)
+                with pytest.raises(InvalidGraph):
+                    cf.exhaustive_verify(single, 2, check)
+            # below the threshold the ValueError comes before Disconnected
+            for check in ("bound", "always_firing"):
+                with pytest.raises(ValueError):
+                    cf.exhaustive_verify(split, 3, check)
+            for check in ("pass_gaps", "battery"):
+                with pytest.raises(Disconnected):
+                    cf.exhaustive_verify(split, 3, check)
 
 
 def test_named_checks_agree_with_battery_rows(c4):

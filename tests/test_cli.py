@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chipfire import cli
 from chipfire.cli import (
     EXIT_BUDGET,
     EXIT_COUNTEREXAMPLE,
@@ -12,6 +13,7 @@ from chipfire.cli import (
     EXIT_RESOURCE,
     main,
 )
+from chipfire.errors import EmptyGraph
 
 
 class TestSimulate:
@@ -172,6 +174,34 @@ class TestParsing:
 
     def test_spec_with_extra_number(self, capsys):
         assert main(["simulate", "cycle:3,4", "explicit:0,0,0"]) == EXIT_INPUT
+
+    def test_oversized_specs_exit_before_building(self, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("an oversized spec must not reach the generator")
+
+        monkeypatch.setattr(cli, "generate", no_build)
+        n = cli.MAX_SPEC_VERTICES + 1
+        pairs_n = next(n for n in range(2, 10**6) if n * (n - 1) // 2 > cli.MAX_SPEC_PAIRS)
+        for spec in ("gnp:100000,0.5", f"path:{n}", f"tree:{n},seed=1",
+                     f"complete:{pairs_n}", f"gnp:{pairs_n},0.01"):
+            assert main(["simulate", spec, "random:5,0"]) == EXIT_RESOURCE, spec
+            assert "the cap is" in capsys.readouterr().err
+
+    def test_specs_at_the_caps_reach_the_generator(self, monkeypatch, capsys):
+        built = []
+
+        def record(kind, n, p=None, seed=0):
+            built.append((kind, n))
+            raise EmptyGraph("stub")
+
+        monkeypatch.setattr(cli, "generate", record)
+        n = cli.MAX_SPEC_VERTICES
+        pairs_n = max(n for n in range(2, 10**4) if n * (n - 1) // 2 <= cli.MAX_SPEC_PAIRS)
+        for spec in (f"path:{n}", f"star:{n}", f"complete:{pairs_n}", f"gnp:{pairs_n},0.5"):
+            assert main(["simulate", spec, "random:5,0"]) == EXIT_INPUT, spec
+        capsys.readouterr()
+        assert built == [("path", n), ("star", n), ("complete", pairs_n),
+                         ("random_connected", pairs_n)]
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

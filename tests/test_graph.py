@@ -1,7 +1,9 @@
 """Graph construction, parsing, generation, and validation."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import chipfire as cf
 from chipfire.errors import (
@@ -80,6 +82,46 @@ class TestDistances:
         for _ in range(2):  # a failed read caches nothing
             with pytest.raises(Disconnected):
                 g.diameter
+
+
+@st.composite
+def small_graphs(draw):
+    """(n, edges) with n <= 25 and at most 2n edges, so sparse, long and
+    disconnected graphs, isolated vertices and n = 1 all turn up."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    pairs = list(combinations(range(n), 2))
+    if not pairs:
+        return n, []
+    return n, sorted(draw(st.sets(st.sampled_from(pairs), max_size=2 * n)))
+
+
+class TestReachBuild:
+    @given(small_graphs())
+    @example((1, []))
+    @example((4, [(0, 1), (0, 2), (1, 2)]))  # an isolated vertex
+    def test_matches_floyd_warshall(self, graph):
+        n, edges = graph
+        g = cf.Graph.build(n, edges)
+        ref = floyd_warshall(n, edges)
+        expected = [[-1 if d == float("inf") else d for d in row] for row in ref]
+        connected = all(d >= 0 for row in expected for d in row)
+        assert g.connected == connected
+        assert cf.validate(g).connected == connected
+        if connected:
+            assert g.diameter == max(max(row) for row in expected)
+        else:
+            with pytest.raises(Disconnected):
+                g.diameter
+        assert [g.distances_from(src) for src in range(n)] == expected
+        assert g.distance == tuple(tuple(row) for row in expected)
+
+    def test_build_keeps_no_distance_matrix(self):
+        g = cf.generate("random_connected", 300, p=0.03, seed=1)
+        assert "distance" not in vars(g)
+        assert g.connected and g.diameter >= max(g.distances_from(0))
+        assert "distance" not in vars(g)
+        assert g.diameter == max(map(max, g.distance))  # built on demand
+        assert "distance" in vars(g)
 
 
 class TestGenerate:
