@@ -14,13 +14,14 @@ over a recorded orbit:
   within n * diameter * c rounds and no vertex idles more than
   diameter * c consecutive rounds before stabilization.
 
-The battery walks each orbit once (parallel._record_orbit), keeping the
+Every check walks each orbit once (parallel._record_orbit), keeping the
 states 0..T and the tuple each round fired: the whole game for a
 stabilizing configuration, preperiod plus two periods for an oscillating
-one.  Each check family is one fold over those two sequences; the public
-check_* functions feed the same folds from a GameTrace, except
-check_stabilization_bound, which walks the game itself on bare tuples
-(parallel._walk, the bounded walk behind run).
+one.  Each check family is one fold over those two sequences, and one
+table (_FAMILIES) says which rows each family reports and what it needs;
+the battery, the named checks and the public check_* functions are all
+read off it.  The public checks on a GameTrace feed the same folds from
+the trace.
 
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import ge, le, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Disconnected, InvalidGraph
 from .graph import Graph, stabilization_threshold
@@ -50,25 +51,35 @@ from .parallel import (
     Configuration,
     GameTrace,
     Stabilized,
-    _coerce,
     _record_orbit,
     _step_raw,
-    _walk,
     classify,
 )
 from .rng import SplitMix64, derive_seed
 
-CHECK_ORDER = (
-    "conservation",
-    "no_gain",
-    "abundant_monotone",
-    "adjacent_pass_gap",
-    "pairwise_pass_gap",
-    "fired_nonempty",
-    "always_firing",
-    "surplus_pigeonhole",
-    "stabilized_within_bound",
-    "idle_gap",
+
+class _Family(NamedTuple):
+    fold: str  # module-global name, looked up at each call so a rebound fold runs
+    rows: tuple[str, ...]
+    gated: bool  # needs a validated, connected graph with n >= 2 (_gate)
+    above_threshold: bool  # needs c >= 4m - n; below it the rows are not_applicable
+
+
+# the four claim families, in report order
+_FAMILIES = {
+    "core": _Family(
+        "_core_checks", ("conservation", "no_gain", "abundant_monotone"), False, False
+    ),
+    "pass_gaps": _Family(
+        "_gap_checks", ("adjacent_pass_gap", "pairwise_pass_gap"), True, False
+    ),
+    "always_firing": _Family(
+        "_firing_checks", ("fired_nonempty", "always_firing", "surplus_pigeonhole"), True, True
+    ),
+    "bound": _Family("_bound_checks", ("stabilized_within_bound", "idle_gap"), True, True),
+}
+
+CHECK_ORDER = tuple(row for family in _FAMILIES.values() for row in family.rows) + (
     "stabilizes",
 )
 
@@ -146,11 +157,12 @@ def _abundant_count(candy: Sequence[int], degree: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # check families: folds over an orbit's states (states[t] after t rounds)
-# and fired sets (fired[t - 1] fired in round t), shared by the public
-# checks and the battery
+# and fired sets (fired[t - 1] fired in round t), with stab the round the
+# orbit reached its fixed point (None if it never did); each returns its
+# rows and the metadata it found
 
 
-def _core_checks(g: Graph, states, fired, c: int) -> list[CheckResult]:
+def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
     twice = [2 * d for d in g.degree]
     conservation = no_gain = monotone = None
     prev = None
@@ -186,10 +198,10 @@ def _core_checks(g: Graph, states, fired, c: int) -> list[CheckResult]:
         conservation or CheckResult("conservation", PASS),
         no_gain or CheckResult("no_gain", PASS),
         monotone or CheckResult("abundant_monotone", PASS),
-    ]
+    ], {}
 
 
-def _gap_checks(g: Graph, fired, c: int) -> list[CheckResult]:
+def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
     """Cumulative fire-count gaps, accumulated round by round.
 
     Along a shortest path a pair's gap is at most the sum of its edge
@@ -231,12 +243,12 @@ def _gap_checks(g: Graph, fired, c: int) -> list[CheckResult]:
                         "bound": bound,
                     },
                 ),
-            ]
-    return [CheckResult("adjacent_pass_gap", PASS), CheckResult("pairwise_pass_gap", PASS)]
+            ], {}
+    return [CheckResult("adjacent_pass_gap", PASS), CheckResult("pairwise_pass_gap", PASS)], {}
 
 
-def _firing_checks(g: Graph, states, fired) -> tuple[list[CheckResult], Optional[int]]:
-    """The three above-threshold firing guarantees; returns (checks, witness)."""
+def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
+    """The three above-threshold firing guarantees, and the witness vertex."""
     nonempty = CheckResult("fired_nonempty", PASS)
     for t, f in enumerate(fired, 1):
         if not f:
@@ -267,23 +279,30 @@ def _firing_checks(g: Graph, states, fired) -> tuple[list[CheckResult], Optional
                 {"round": t, "deficient_vertex": deficient},
             )
             break
-    return [nonempty, always, pigeonhole], witness
+    return [nonempty, always, pigeonhole], {"always_firing_witness": witness}
 
 
-def _bound_checks(
-    g: Graph, start, fired, stab: Optional[int], bound: int, gap_bound: int
-) -> list[CheckResult]:
-    """Round bound and idle gaps; stab is None when the orbit never stabilized."""
+def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
+    """Round bound n * d * c and idle gaps capped at d * c."""
+    d = g.diameter
+    bound = g.n * d * c
+    gap_bound = d * c
+    meta = {
+        "bound": bound,
+        "gap_bound": gap_bound,
+        "stab_round": stab,
+        "slack": bound - stab if stab is not None else None,
+    }
     if stab is None or stab > bound:
         fail = {
-            "config": list(start),
+            "config": list(states[0]),
             "stab_round": stab,
             "bound": bound,
         }
         return [
             CheckResult("stabilized_within_bound", FAIL, fail),
             CheckResult("idle_gap", FAIL, fail),
-        ]
+        ], meta
     within = CheckResult(
         "stabilized_within_bound", PASS, detail=f"stab_round {stab} <= {bound}"
     )
@@ -306,28 +325,44 @@ def _bound_checks(
                 {"vertex": v, "observed": gap, "bound": gap_bound},
             )
             break
-    return [within, idle]
+    return [within, idle], meta
 
 
-def _sequences(trace: GameTrace):
-    """A trace's (states, fired), as the check families take them."""
-    states = [trace.initial.candy]
-    states += [rec.config.candy for rec in trace.rounds]
-    return states, [rec.fired for rec in trace.rounds]
+def _fold(
+    name: str, g: Graph, c: int, threshold: int, states, fired, preperiod=None, period=None
+):
+    """A family's (rows, metadata), folded over one record of an orbit.
+
+    A family that needs c >= 4m - n reports its rows not_applicable below
+    threshold, without reading the record.
+    """
+    family = _FAMILIES[name]
+    if family.above_threshold and c < threshold:
+        detail = f"c={c} below threshold {threshold}"
+        return [CheckResult(row, NOT_APPLICABLE, detail=detail) for row in family.rows], {}
+    stab = preperiod if period == 1 else None
+    return globals()[family.fold](g, c, states, fired, stab)
 
 
 # ---------------------------------------------------------------------------
 # public per-claim checks
 
 
+def _trace_report(name: str, g: Graph, trace: GameTrace, meta: dict) -> VerificationReport:
+    """One family's report, folded over the states and fired sets of a trace."""
+    if _FAMILIES[name].gated:
+        _gate(g)
+    c = trace.initial.total
+    states = [trace.initial.candy] + [rec.config.candy for rec in trace.rounds]
+    fired = [rec.fired for rec in trace.rounds]
+    rows, found = _fold(name, g, c, stabilization_threshold(g), states, fired)
+    return VerificationReport(tuple(rows), {**meta, **found})
+
+
 def check_core_invariants(g: Graph, trace: GameTrace) -> VerificationReport:
     """Conservation, no-gain-by-firing, and abundant-set shrinkage on a trace."""
-    states, fired = _sequences(trace)
-    checks = _core_checks(g, states, fired, trace.initial.total)
-    return VerificationReport(
-        tuple(checks),
-        {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)},
-    )
+    meta = {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)}
+    return _trace_report("core", g, trace, meta)
 
 
 def check_pass_count_gaps(g: Graph, trace: GameTrace) -> VerificationReport:
@@ -335,35 +370,19 @@ def check_pass_count_gaps(g: Graph, trace: GameTrace) -> VerificationReport:
 
     The counts are accumulated from the trace's fired sets.
     """
-    _gate(g)
-    _, fired = _sequences(trace)
-    checks = _gap_checks(g, fired, trace.initial.total)
-    return VerificationReport(
-        tuple(checks),
-        {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)},
-    )
+    meta = {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)}
+    return _trace_report("pass_gaps", g, trace, meta)
 
 
 def check_always_firing(g: Graph, trace: GameTrace) -> VerificationReport:
     """Above-threshold firing guarantees; not_applicable below 4m - n."""
-    _gate(g)
-    c = trace.initial.total
-    threshold = stabilization_threshold(g)
     meta = {
-        "c": c,
-        "threshold": threshold,
+        "c": trace.initial.total,
+        "threshold": stabilization_threshold(g),
         "rounds_recorded": len(trace.rounds),
         "finite_check_note": FINITE_CHECK_NOTE,
     }
-    if c < threshold:
-        checks = [
-            CheckResult(name, NOT_APPLICABLE, detail=f"c={c} below threshold {threshold}")
-            for name in ("fired_nonempty", "always_firing", "surplus_pigeonhole")
-        ]
-        return VerificationReport(tuple(checks), meta)
-    checks, witness = _firing_checks(g, *_sequences(trace))
-    meta["always_firing_witness"] = witness
-    return VerificationReport(tuple(checks), meta)
+    return _trace_report("always_firing", g, trace, meta)
 
 
 def check_stabilization_bound(g: Graph, init) -> VerificationReport:
@@ -372,37 +391,16 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
     initial = init if isinstance(init, Configuration) else Configuration.of(init)
     c = initial.total
     threshold = stabilization_threshold(g)
-    d = g.diameter
     meta = {
         "c": c,
         "threshold": threshold,
-        "diameter": d,
+        "diameter": g.diameter,
         "finite_check_note": FINITE_CHECK_NOTE,
     }
-    if c < threshold:
-        checks = [
-            CheckResult(name, NOT_APPLICABLE, detail=f"c={c} below threshold {threshold}")
-            for name in ("stabilized_within_bound", "idle_gap")
-        ]
-        return VerificationReport(tuple(checks), meta)
-    bound = g.n * d * c
-    gap_bound = d * c
-    candy = _coerce(g, initial)
-    fired, stab = [], None
-    for t, (_, f, fixed) in enumerate(_walk(g, candy, bound + 1)):
-        fired.append(f)
-        if fixed:
-            stab = t  # the detecting round t + 1 re-produced round t
-    checks = _bound_checks(g, candy, fired, stab, bound, gap_bound)
-    meta.update(
-        {
-            "bound": bound,
-            "gap_bound": gap_bound,
-            "stab_round": stab,
-            "slack": bound - stab if stab is not None else None,
-        }
-    )
-    return VerificationReport(tuple(checks), meta)
+    # below the threshold the rows are not_applicable and the game is not walked
+    record = _record_orbit(g, initial) if c >= threshold else ((), ())
+    rows, found = _fold("bound", g, c, threshold, *record)
+    return VerificationReport(tuple(rows), {**meta, **found})
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +416,17 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
     state_cap bounds the walk's visited map as it bounds classify's.
     """
     _gate(g)
-    return _battery(g, config, state_cap)
-
-
-def _battery(g: Graph, config, state_cap: Optional[int]) -> VerificationReport:
-    """verify_battery on a graph the caller has already gated."""
     initial = config if isinstance(config, Configuration) else Configuration.of(config)
     c = initial.total
-    threshold = stabilization_threshold(g)
     d = g.diameter
+    threshold = stabilization_threshold(g)
     states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
     stabilized = period == 1
-    stab = preperiod if stabilized else None
-    checks = _core_checks(g, states, fired, c)
-    checks.extend(_gap_checks(g, fired, c))
-    applicable = c >= threshold
-    witness = None
-    if applicable:
-        firing, witness = _firing_checks(g, states, fired)
-        checks.extend(firing)
-        checks.extend(_bound_checks(g, states[0], fired, stab, g.n * d * c, d * c))
-    else:
-        checks.extend(
-            CheckResult(name, NOT_APPLICABLE, detail=f"c={c} below threshold {threshold}")
-            for name in (
-                "fired_nonempty",
-                "always_firing",
-                "surplus_pigeonhole",
-                "stabilized_within_bound",
-                "idle_gap",
-            )
-        )
+    checks, found = [], {}
+    for name in _FAMILIES:
+        rows, meta = _fold(name, g, c, threshold, states, fired, preperiod, period)
+        checks += rows
+        found.update(meta)
     if stabilized:
         checks.append(CheckResult("stabilizes", PASS))
     else:
@@ -469,14 +447,14 @@ def _battery(g: Graph, config, state_cap: Optional[int]) -> VerificationReport:
         "graph": {"n": g.n, "m": g.m, "diameter": d, "connected": g.connected},
         "c": c,
         "threshold": threshold,
-        "bound": g.n * d * c if applicable else None,
-        "gap_bound": d * c if applicable else None,
+        "bound": found.get("bound"),
+        "gap_bound": found.get("gap_bound"),
         "outcome": "stabilized" if stabilized else "periodic",
-        "stab_round": stab,
+        "stab_round": preperiod if stabilized else None,
         "preperiod": None if stabilized else preperiod,
         "period": None if stabilized else period,
-        "slack": (g.n * d * c - stab) if (applicable and stab is not None) else None,
-        "always_firing_witness": witness,
+        "slack": found.get("slack"),
+        "always_firing_witness": found.get("always_firing_witness"),
         "abundant_start": _abundant_count(initial.candy, g.degree),
         "abundant_end": _abundant_count(states[-1], g.degree),
         "rounds_recorded": len(fired),
@@ -513,36 +491,27 @@ def _named_stabilizes(g: Graph, comp) -> Optional[dict]:
     }
 
 
-def _named_bound(g: Graph, comp) -> Optional[dict]:
-    c = sum(comp)
-    threshold = stabilization_threshold(g)
-    if c < threshold:
-        raise ValueError(
-            f"bound check needs c >= {threshold}; use 'stabilizes' below the threshold"
-        )
-    report = check_stabilization_bound(g, comp)
-    return _first_failure(report.checks)
+def _named_family(name: str):
+    """The named check of one family: its first failing row on the orbit of comp.
 
+    A family that needs c >= 4m - n refuses a smaller c with ValueError
+    before the graph is gated.
+    """
+    family = _FAMILIES[name]
 
-def _named_pass_gaps(g: Graph, comp) -> Optional[dict]:
-    _gate(g)
-    _, fired, _, _ = _record_orbit(g, comp)
-    return _first_failure(_gap_checks(g, fired, sum(comp)))
+    def check(g: Graph, comp) -> Optional[dict]:
+        c = sum(comp)
+        threshold = stabilization_threshold(g)
+        if family.above_threshold and c < threshold:
+            raise ValueError(
+                f"{name} check needs c >= {threshold}; use 'stabilizes' below the threshold"
+            )
+        if family.gated:
+            _gate(g)
+        rows, _ = _fold(name, g, c, threshold, *_record_orbit(g, comp))
+        return _first_failure(rows)
 
-
-def _named_always_firing(g: Graph, comp) -> Optional[dict]:
-    c = sum(comp)
-    threshold = stabilization_threshold(g)
-    if c < threshold:
-        raise ValueError(f"always_firing check needs c >= {threshold}")
-    _gate(g)
-    states, fired, _, _ = _record_orbit(g, comp)
-    return _first_failure(_firing_checks(g, states, fired)[0])
-
-
-def _named_core(g: Graph, comp) -> Optional[dict]:
-    states, fired, _, _ = _record_orbit(g, comp)
-    return _first_failure(_core_checks(g, states, fired, sum(comp)))
+    return check
 
 
 def _named_battery(g: Graph, comp) -> Optional[dict]:
@@ -562,10 +531,7 @@ def _first_failure(checks: Iterable[CheckResult]) -> Optional[dict]:
 
 NAMED_CHECKS = {
     "stabilizes": _named_stabilizes,
-    "bound": _named_bound,
-    "pass_gaps": _named_pass_gaps,
-    "always_firing": _named_always_firing,
-    "core": _named_core,
+    **{name: _named_family(name) for name in _FAMILIES},
     "battery": _named_battery,
 }
 
@@ -611,7 +577,7 @@ def verify_corpus(
     checked = 0
     failing_config = None
     for comp in stream:
-        report = _battery(g, comp, state_cap)
+        report = verify_battery(g, comp, state_cap)
         checked += 1
         for result in report.checks:
             slot = agg[result.name]
@@ -688,7 +654,7 @@ def sweep_experiment(
     for ci, c in enumerate(c_values):
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
-            report = _battery(g, cfg, state_cap)
+            report = verify_battery(g, cfg, state_cap)
             md = report.metadata
             stabilized = md["outcome"] == "stabilized"
             rows.append(
@@ -858,9 +824,7 @@ def random_instance_suite(
     for i in range(count):
         rng = SplitMix64(derive_seed(seed, i))
         kind = kinds[rng.below(len(kinds))]
-        if kind == "cycle":
-            n = 3 + rng.below(n_max - 2)
-        elif kind == "random_connected":
+        if kind in ("cycle", "random_connected"):
             n = 3 + rng.below(n_max - 2)
         else:
             n = 2 + rng.below(n_max - 1)
@@ -869,7 +833,7 @@ def random_instance_suite(
         _gate(g)
         c = stabilization_threshold(g)
         cfg = random_config(g.n, c, rng.next_u64())
-        report = _battery(g, cfg, state_cap)
+        report = verify_battery(g, cfg, state_cap)
         md = report.metadata
         row = {
             "instance": i,

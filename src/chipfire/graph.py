@@ -282,11 +282,6 @@ class ValidationReport:
     degree_sum_ok: bool
     degenerate: bool
 
-    @property
-    def analysis_ready(self) -> bool:
-        """True when every structural check passed and n >= 2."""
-        return self.simple and self.connected and self.degree_sum_ok and not self.degenerate
-
 
 def validate(g: Graph) -> ValidationReport:
     """Re-verify structural invariants from the raw fields.
@@ -322,15 +317,3 @@ def validate(g: Graph) -> ValidationReport:
         degree_sum_ok=degree_sum_ok,
         degenerate=g.n < 2,
     )
-
-
-def to_dot(g: Graph) -> str:
-    """Render the graph as DOT text for external visualization tools."""
-    lines = ["graph {"]
-    isolated = [v for v in range(g.n) if g.degree[v] == 0]
-    for v in isolated:
-        lines.append(f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

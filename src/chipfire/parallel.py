@@ -2,10 +2,10 @@
 
 One round: every vertex holding at least as much candy as its degree
 fires, sending one candy along each incident edge; all firings in a round
-are simultaneous.  Rounds are numbered from 1, the initial configuration
-is round 0.  A configuration is stable once it will never change again;
-because the update is deterministic, that is exactly "one round changes
-nothing".
+are simultaneous.  A vertex of degree 0 never fires.  Rounds are
+numbered from 1, the initial configuration is round 0.  A configuration
+is stable once it will never change again; because the update is
+deterministic, that is exactly "one round changes nothing".
 
 All candy arithmetic is plain Python integers, so totals are exact at any
 magnitude.  The inner loop works on bare tuples; the dataclass wrappers
@@ -152,62 +152,37 @@ def step(g: Graph, conf) -> tuple[Configuration, frozenset[int]]:
     return Configuration.of(nxt), frozenset(fired)
 
 
-def is_fixed_point(g: Graph, conf) -> bool:
-    """True iff the configuration never changes again.
-
-    On a connected graph this is equivalent to "nobody fires or everybody
-    fires" (everyone firing returns each vertex exactly its degree).  On a
-    disconnected graph that shortcut only holds per component, so we fall
-    back to the direct one-step comparison.
-    """
-    candy = _coerce(g, conf)
-    if g.connected:
-        firable = sum(1 for v in range(g.n) if g.degree[v] and candy[v] >= g.degree[v])
-        active = sum(1 for d in g.degree if d)
-        return firable == 0 or (active > 0 and firable == active)
-    nxt, _ = _step_raw(g.adjacency, g.degree, candy)
-    return nxt == candy
-
-
 def run(g: Graph, init, max_rounds: int) -> GameTrace:
     """Simulate up to max_rounds rounds, stopping once a round changes nothing.
 
     The trace includes the detecting round, so a game that stabilizes at
-    round s has s + 1 recorded rounds.
+    round s has s + 1 recorded rounds.  A trace holds at most as many
+    rounds as the state cap (CHIPFIRE_STATE_CAP); a game that needs more
+    raises ResourceExhausted before the first round past it is recorded.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
-    candy = _coerce(g, init)
-    initial = Configuration.of(candy)
+    prev = _coerce(g, init)
+    initial = Configuration.of(prev)
+    cap = _default_state_cap()
+    adjacency, degree = g.adjacency, g.degree
     cum = [0] * g.n
     rounds: list[RoundRecord] = []
     passes: list[tuple[int, ...]] = []
     stop = StopReason.BUDGET
-    for t, (nxt, fired, fixed) in enumerate(_walk(g, candy, max_rounds), 1):
+    for t in range(1, max_rounds + 1):
+        if t > cap:
+            raise ResourceExhausted(f"trace would exceed {cap} recorded rounds")
+        nxt, fired = _step_raw(adjacency, degree, prev)
         for v in fired:
             cum[v] += 1
         rounds.append(RoundRecord(t, frozenset(fired), Configuration.of(nxt)))
         passes.append(tuple(cum))
-        if fixed:
+        if nxt == prev:
             stop = StopReason.FIXED_POINT
-    return GameTrace(initial, tuple(rounds), tuple(passes), stop)
-
-
-def _walk(g: Graph, prev: tuple[int, ...], max_rounds: int):
-    """The bounded walk behind run, on bare tuples.
-
-    Yields (state, fired, fixed) for rounds 1, 2, ...: the state after the
-    round, the tuple that fired in it, and whether the round changed
-    nothing, which ends the walk.  At most max_rounds rounds.
-    """
-    adjacency, degree = g.adjacency, g.degree
-    for _ in range(max_rounds):
-        nxt, fired = _step_raw(adjacency, degree, prev)
-        fixed = nxt == prev
-        yield nxt, fired, fixed
-        if fixed:
-            return
+            break
         prev = nxt
+    return GameTrace(initial, tuple(rounds), tuple(passes), stop)
 
 
 def _default_state_cap() -> int:

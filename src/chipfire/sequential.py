@@ -1,7 +1,8 @@
 """Sequential candy-passing: one vertex fires per move.
 
 A vertex is firable while it holds at least deg(v) candy; firing sends one
-candy to each neighbor.  Which firable vertex moves next is the policy's
+candy to each neighbor.  A vertex of degree 0 is never firable, as in the
+synchronous engine.  Which firable vertex moves next is the policy's
 choice.  The classical order-independence property says the initial
 configuration alone decides whether play ever terminates, and for
 terminating games both the final configuration and the number of moves
@@ -49,7 +50,7 @@ SeqOutcome = Union[Terminated, Infinite, Unknown]
 
 
 def _firable(candy, degree, n):
-    return [v for v in range(n) if candy[v] >= degree[v]]
+    return [v for v in range(n) if degree[v] and candy[v] >= degree[v]]
 
 
 def _pick(policy: str, firable, candy, seed, move_index: int) -> int:

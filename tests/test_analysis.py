@@ -398,23 +398,38 @@ class TestGateOncePerGraph:
                     cf.exhaustive_verify(split, 3, check)
 
 
-def test_named_checks_agree_with_battery_rows(c4):
+def test_named_checks_agree_with_battery_rows(c4, p4, star4):
     families = {
         "core": ("conservation", "no_gain", "abundant_monotone"),
         "pass_gaps": ("adjacent_pass_gap", "pairwise_pass_gap"),
         "always_firing": ("fired_nonempty", "always_firing", "surplus_pigeonhole"),
         "bound": ("stabilized_within_bound", "idle_gap"),
     }
-    threshold = cf.stabilization_threshold(c4)
-    for c in range(threshold + 2):
-        for comp in cf.enumerate_configs(c4.n, c):
-            report = cf.verify_battery(c4, comp)
-            for name, rows in families.items():
-                if name in ("always_firing", "bound") and c < threshold:
-                    continue
-                failing = [r for r in rows if report.get(r).status == FAIL]
-                expected = None
-                if failing:
-                    expected = {"check": failing[0],
-                                **report.get(failing[0]).counterexample}
-                assert cf.NAMED_CHECKS[name](c4, comp) == expected, (name, comp)
+    for g in (c4, p4, star4):
+        threshold = cf.stabilization_threshold(g)
+        for c in range(threshold + 2):
+            for comp in cf.enumerate_configs(g.n, c):
+                report = cf.verify_battery(g, comp)
+                for name, rows in families.items():
+                    if name in ("always_firing", "bound") and c < threshold:
+                        continue
+                    failing = [r for r in rows if report.get(r).status == FAIL]
+                    expected = None
+                    if failing:
+                        expected = {"check": failing[0],
+                                    **report.get(failing[0]).counterexample}
+                    assert cf.NAMED_CHECKS[name](g, comp) == expected, (name, g.edges, comp)
+
+
+@pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
+def test_stabilization_bound_matches_battery(spec):
+    g = cf.generate(*spec)
+    threshold = cf.stabilization_threshold(g)
+    rows = ("stabilized_within_bound", "idle_gap")
+    keys = ("bound", "gap_bound", "stab_round", "slack")
+    for c in range(threshold, threshold + 3):
+        for comp in cf.enumerate_configs(g.n, c):
+            bound = cf.check_stabilization_bound(g, comp)
+            battery = cf.verify_battery(g, comp)
+            assert bound.checks == tuple(battery.get(r) for r in rows), comp
+            assert [bound.metadata[k] for k in keys] == [battery.metadata[k] for k in keys], comp

@@ -30,6 +30,12 @@ class TestSimulate:
         out = json.loads(capsys.readouterr().out)
         assert out["stop"] == "budget" and out["stab_round"] is None
 
+    def test_trace_cap_resource_exit(self, monkeypatch, capsys):
+        monkeypatch.setenv("CHIPFIRE_STATE_CAP", "50")
+        argv = ["simulate", "cycle:4", "explicit:2,0,2,0", "--max-rounds", str(10**5)]
+        assert main(argv) == EXIT_RESOURCE
+        assert "resource exhausted" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["simulate", "badfile.txt", "explicit:1,2"]) == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err

@@ -254,25 +254,15 @@ def test_validate_good_graph(c4):
     report = cf.validate(c4)
     assert report.simple and report.connected and report.degree_sum_ok
     assert not report.degenerate
-    assert report.analysis_ready
 
 
 def test_validate_flags_degenerate_and_disconnected():
     single = cf.Graph.build(1, [])
     rep = cf.validate(single)
-    assert rep.degenerate and not rep.analysis_ready
+    assert rep.degenerate and rep.connected
     split = cf.Graph.build(4, [(0, 1), (2, 3)])
     rep2 = cf.validate(split)
-    assert not rep2.connected and not rep2.analysis_ready
-
-
-def test_to_dot(p3):
-    assert cf.to_dot(p3) == "graph {\n  0 -- 1;\n  1 -- 2;\n}\n"
-
-
-def test_to_dot_isolated_vertex():
-    g = cf.Graph.build(3, [(0, 1)])
-    assert "2;" in cf.to_dot(g)
+    assert not rep2.connected and not rep2.degenerate
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**32))

@@ -30,7 +30,7 @@ def test_isolated_vertex_never_fires():
     g = cf.Graph.build(2, [])
     conf, fired = cf.step(g, [5, 0])
     assert conf.candy == (5, 0) and fired == frozenset()
-    assert cf.is_fixed_point(g, [5, 0])
+    assert cf.run(g, [5, 0], 1).stop is cf.StopReason.FIXED_POINT
 
 
 class TestRun:
@@ -82,22 +82,38 @@ class TestRun:
         with pytest.raises(ValueError):
             cf.run(c3, [1, 1, 1], -1)
 
+    def test_trace_capped_by_state_cap(self, monkeypatch, c4):
+        monkeypatch.setenv("CHIPFIRE_STATE_CAP", "50")
+        # an oscillator under a large budget stops at the cap; the budget
+        # is 2000x the cap, not unbounded, so a missing cap fails in ~65 MB
+        with pytest.raises(ResourceExhausted):
+            cf.run(c4, [2, 0, 2, 0], 10**5)
+        assert len(cf.run(c4, [2, 0, 2, 0], 50).rounds) == 50
+        # a game whose trace is exactly the cap (stab_round 49) still returns
+        trace = cf.run(cf.generate("path", 7), [0, 0, 0, 0, 0, 1, 16], 10**5)
+        assert trace.stab_round == 49 and len(trace.rounds) == 50
+
+
+def _fixed(g, conf):
+    """run's fixed-point rule: the first round changes nothing."""
+    return cf.run(g, conf, 1).stop is cf.StopReason.FIXED_POINT
+
 
 class TestFixedPoint:
     def test_all_firing_is_fixed(self, c3):
-        assert cf.is_fixed_point(c3, [5, 2, 2])
+        assert _fixed(c3, [5, 2, 2])
 
     def test_none_firing_is_fixed(self, c3):
-        assert cf.is_fixed_point(c3, [1, 1, 0])
+        assert _fixed(c3, [1, 1, 0])
 
     def test_partial_firing_is_not(self, c3):
-        assert not cf.is_fixed_point(c3, [9, 0, 0])
+        assert not _fixed(c3, [9, 0, 0])
 
     def test_disconnected_componentwise(self):
         g = cf.Graph.build(4, [(0, 1), (2, 3)])
         # one component all-firing, the other all-idle: still fixed
-        assert cf.is_fixed_point(g, [1, 1, 0, 0])
-        assert not cf.is_fixed_point(g, [2, 0, 0, 0])
+        assert _fixed(g, [1, 1, 0, 0])
+        assert not _fixed(g, [2, 0, 0, 0])
 
 
 class TestClassify:

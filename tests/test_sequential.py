@@ -25,12 +25,27 @@ def test_k2_single_candy_never_terminates(k2):
     assert isinstance(out, cf.Infinite)
 
 
-def test_isolated_vertex_alone_is_infinite():
-    # degree 0 means 'candy >= degree' always holds, so the single legal
-    # move repeats forever without moving anything
+def test_isolated_vertex_alone_terminates():
+    # a degree-0 vertex is never firable, so there is no move to make
     g = cf.Graph.build(1, [])
     out = seq_run(g, [0], "lowest_index")
-    assert isinstance(out, cf.Infinite)
+    assert out == cf.Terminated(cf.Configuration.of([0]), 0)
+
+
+def test_engines_share_the_degree_zero_rule():
+    g = cf.Graph.build(3, [(0, 1)])  # vertex 2 is isolated
+    for c in range(7):
+        for comp in cf.enumerate_configs(g.n, c):
+            log = []
+            out = seq_run(g, comp, "lowest_index", _log=log)
+            _, fired = cf.step(g, comp)
+            assert 2 not in fired and all(v != 2 for _, v, _ in log), comp
+            # nobody can fire in one engine exactly when nobody can in the other
+            assert (out == cf.Terminated(cf.Configuration.of(comp), 0)) == (not fired), comp
+    start = cf.Configuration.of([0, 0, 5])
+    assert seq_run(g, start) == cf.Terminated(start, 0)
+    assert cf.classify(g, start) == cf.Stabilized(0, start)
+    assert cf.check_abelian(g, start).status == "pass"
 
 
 def test_policies_agree_on_termination(p3, c3, p4, star4):
