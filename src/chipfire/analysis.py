@@ -174,8 +174,11 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
                 {"round": t, "observed": sum(cur), "expected": c},
             )
         if t and no_gain is None:
-            for v in sorted(fired[t - 1]):
+            f = fired[t - 1]
+            for v in f:
                 if cur[v] > prev[v]:
+                    # f may be a frozenset: report the lowest vertex that gained
+                    v = min(u for u in f if cur[u] > prev[u])
                     no_gain = CheckResult(
                         "no_gain",
                         FAIL,
@@ -209,17 +212,19 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
     within c; and an edge is itself a pair at distance 1.  Both checks
     therefore first fail in the same round, the first whose largest edge
     gap exceeds c, and the all-pairs scan runs only there: pairs in
-    combinations order, with one BFS per source row it reaches.
+    combinations order, with one BFS per source row it reaches.  Each
+    round's largest edge gap is one C-level max; the first edge over c is
+    looked up only in the failing round.
     """
     us = [u for u, _ in g.edges]
     ws = [w for _, w in g.edges]
     cum = [0] * g.n
+    count = cum.__getitem__
     for t, f in enumerate(fired, 1):
         for v in f:
             cum[v] += 1
-        gaps = list(map(abs, map(sub, map(cum.__getitem__, us), map(cum.__getitem__, ws))))
-        if max(gaps) > c:
-            i = next(i for i, gap in enumerate(gaps) if gap > c)
+        if max(map(abs, map(sub, map(count, us), map(count, ws)))) > c:
+            eu, ew = next((u, w) for u, w in g.edges if abs(cum[u] - cum[w]) > c)
             u, w, bound = next(
                 (u, w, dist[w] * c)
                 for u in range(g.n)
@@ -231,7 +236,12 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
                 CheckResult(
                     "adjacent_pass_gap",
                     FAIL,
-                    {"round": t, "pair": [us[i], ws[i]], "observed": gaps[i], "bound": c},
+                    {
+                        "round": t,
+                        "pair": [eu, ew],
+                        "observed": abs(cum[eu] - cum[ew]),
+                        "bound": c,
+                    },
                 ),
                 CheckResult(
                     "pairwise_pass_gap",
@@ -464,13 +474,14 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
 
 
 def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int):
+    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     x = tuple(start)
     for _ in range(preperiod):
-        x, _f = _step_raw(g.adjacency, g.degree, x)
+        x, _f = _step_raw(adjacency, degree, fire_at, x)
     states = []
     for _ in range(period):
         states.append(x)
-        x, _f = _step_raw(g.adjacency, g.degree, x)
+        x, _f = _step_raw(adjacency, degree, fire_at, x)
     return states
 
 

@@ -13,6 +13,7 @@ scans every pair.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,13 @@ class Graph:
     def distance(self) -> tuple[tuple[int, ...], ...]:
         """The n x n distance matrix (-1 for unreachable pairs), built on first access."""
         return tuple(tuple(self.distances_from(src)) for src in range(self.n))
+
+    @cached_property
+    def fire_at(self) -> tuple[float, ...]:
+        """Per-vertex firing threshold for the synchronous step: the degree,
+        or math.inf for a degree-0 vertex, which never fires.  Built on
+        first access and kept."""
+        return tuple(d if d else math.inf for d in self.degree)
 
     @cached_property
     def validation(self) -> "ValidationReport":

@@ -10,6 +10,12 @@ deterministic, that is exactly "one round changes nothing".
 All candy arithmetic is plain Python integers, so totals are exact at any
 magnitude.  The inner loop works on bare tuples; the dataclass wrappers
 appear only at the API boundary.
+
+The round kernel, _step_raw, compares the configuration with the graph's
+threshold tuple Graph.fire_at (the degree, or math.inf for a degree-0
+vertex) in one C-level pass, so it picks the firing vertices without a
+per-vertex Python test and the degree-0 rule costs nothing per round.
+Only the fired vertices and their neighbours are then touched in Python.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge
 from typing import Sequence, Union
 
 from .errors import ResourceExhausted, SizeMismatch
@@ -131,24 +139,29 @@ def _coerce(g: Graph, conf) -> tuple[int, ...]:
     return candy
 
 
-def _step_raw(adjacency, degree, conf):
-    """One synchronous round on a bare tuple; returns (next, fired tuple)."""
-    n = len(conf)
-    fired = [v for v in range(n) if degree[v] and conf[v] >= degree[v]]
+def _step_raw(adjacency, degree, fire_at, conf):
+    """One synchronous round on a bare tuple; returns (next, fired tuple).
+
+    fire_at is the graph's Graph.fire_at: vertex v fires when conf[v] >=
+    fire_at[v], which is its degree, or math.inf for a degree-0 vertex so
+    that it never fires.  The fired tuple is ascending.  An unchanged
+    configuration is returned as the same tuple when nothing fires.
+    """
+    fired = tuple(compress(range(len(conf)), map(ge, conf, fire_at)))
     if not fired:
         return conf, ()
-    delta = [0] * n
+    nxt = list(conf)
     for v in fired:
-        delta[v] -= degree[v]
+        nxt[v] -= degree[v]
         for u in adjacency[v]:
-            delta[u] += 1
-    return tuple(map(sum, zip(conf, delta))), tuple(fired)
+            nxt[u] += 1
+    return tuple(nxt), fired
 
 
 def step(g: Graph, conf) -> tuple[Configuration, frozenset[int]]:
     """Apply one round; returns the next configuration and who fired."""
     candy = _coerce(g, conf)
-    nxt, fired = _step_raw(g.adjacency, g.degree, candy)
+    nxt, fired = _step_raw(g.adjacency, g.degree, g.fire_at, candy)
     return Configuration.of(nxt), frozenset(fired)
 
 
@@ -164,8 +177,9 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
         raise ValueError("max_rounds must be >= 0")
     prev = _coerce(g, init)
     initial = Configuration.of(prev)
+    total = initial.total
     cap = _default_state_cap()
-    adjacency, degree = g.adjacency, g.degree
+    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     cum = [0] * g.n
     rounds: list[RoundRecord] = []
     passes: list[tuple[int, ...]] = []
@@ -173,10 +187,11 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     for t in range(1, max_rounds + 1):
         if t > cap:
             raise ResourceExhausted(f"trace would exceed {cap} recorded rounds")
-        nxt, fired = _step_raw(adjacency, degree, prev)
+        nxt, fired = _step_raw(adjacency, degree, fire_at, prev)
         for v in fired:
             cum[v] += 1
-        rounds.append(RoundRecord(t, frozenset(fired), Configuration.of(nxt)))
+        # a step from the validated start keeps the total and non-negative ints
+        rounds.append(RoundRecord(t, frozenset(fired), Configuration(nxt, total)))
         passes.append(tuple(cum))
         if nxt == prev:
             stop = StopReason.FIXED_POINT
@@ -209,12 +224,12 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
     candy = _coerce(g, init)
     cap = _default_state_cap() if state_cap is None else state_cap
     budget = (step_cap if step_cap is not None else _BRENT_BUDGET_FACTOR * cap)
-    adjacency, degree = g.adjacency, g.degree
+    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     seen = {candy: 0}
     x = candy
     t = 0
     while True:
-        x, _ = _step_raw(adjacency, degree, x)
+        x, _ = _step_raw(adjacency, degree, fire_at, x)
         t += 1
         j = seen.get(x)
         if j is not None:
@@ -222,7 +237,7 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
         if len(seen) >= cap:
             break
         seen[x] = t
-    mu, lam, entry = _brent(adjacency, degree, candy, budget)
+    mu, lam, entry = _brent(g, candy, budget)
     return _outcome(mu, lam, entry)
 
 
@@ -239,12 +254,12 @@ def _record_orbit(g: Graph, init, state_cap=None):
     """
     candy = _coerce(g, init)
     cap = _default_state_cap() if state_cap is None else state_cap
-    adjacency, degree = g.adjacency, g.degree
+    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     seen = {candy: 0}  # insertion order is orbit order
     fired = []
     x = candy
     while True:
-        x, f = _step_raw(adjacency, degree, x)
+        x, f = _step_raw(adjacency, degree, fire_at, x)
         fired.append(f)
         j = seen.get(x)
         if j is not None:
@@ -258,12 +273,12 @@ def _record_orbit(g: Graph, init, state_cap=None):
         if len(seen) >= cap:
             break
         seen[x] = len(fired)
-    preperiod, period, _ = _brent(adjacency, degree, candy, _BRENT_BUDGET_FACTOR * cap)
+    preperiod, period, _ = _brent(g, candy, _BRENT_BUDGET_FACTOR * cap)
     states = list(seen)
     states.append(x)
     rounds = preperiod + (1 if period == 1 else 2 * period)
     while len(fired) < rounds:
-        x, f = _step_raw(adjacency, degree, x)
+        x, f = _step_raw(adjacency, degree, fire_at, x)
         states.append(x)
         fired.append(f)
     return states, fired, preperiod, period
@@ -275,8 +290,9 @@ def _outcome(preperiod: int, period: int, state) -> Outcome:
     return EventuallyPeriodic(preperiod=preperiod, period=period)
 
 
-def _brent(adjacency, degree, start, budget):
+def _brent(g: Graph, start, budget):
     """Constant-memory cycle detection; returns (preperiod, period, entry state)."""
+    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     evals = 0
 
     def f(x):
@@ -284,7 +300,7 @@ def _brent(adjacency, degree, start, budget):
         evals += 1
         if evals > budget:
             raise ResourceExhausted(f"orbit walk exceeded {budget} steps")
-        return _step_raw(adjacency, degree, x)[0]
+        return _step_raw(adjacency, degree, fire_at, x)[0]
 
     power = lam = 1
     tortoise = start

@@ -166,11 +166,13 @@ def check_abelian(g: Graph, init, n_orders: int = 10, seed: int = 0) -> AbelianR
     """Assert order-independence on one instance.
 
     The reference play is lowest_index.  If it terminates with length L,
-    every seeded random order gets a 10*L + 1000 move budget and must
-    terminate with the identical (final configuration, length).  A random
-    order exhausting its budget while the reference terminated is
-    reported distinctly (budget_exceeded): it contradicts the property
-    rather than merely diverging.
+    every seeded random order must terminate with the identical (final
+    configuration, length).  Every terminating order has length exactly L
+    (Bjorner-Lovasz-Shor), so each random order gets a budget of exactly
+    L moves: seq_run tests for termination before the budget, so a
+    correct order still ends Terminated, and an order that would make a
+    move past L is reported distinctly (budget_exceeded): it contradicts
+    the property rather than merely diverging.
     """
     reference = seq_run(g, init, policy="lowest_index")
     if not isinstance(reference, Terminated):
@@ -183,7 +185,7 @@ def check_abelian(g: Graph, init, n_orders: int = 10, seed: int = 0) -> AbelianR
             divergences=(),
             budget_exceeded=(),
         )
-    budget = 10 * reference.length + 1000
+    budget = reference.length
     divergences: list[dict] = []
     exceeded: list[int] = []
     for i in range(n_orders):

@@ -39,6 +39,38 @@ class TestCoreInvariants:
         trace = cf.run(c4, [2, 0, 2, 0], 20)
         assert cf.check_core_invariants(c4, trace).ok
 
+    def test_failure_reports_are_pinned(self):
+        """No real game fails these rows, so a trace is built by hand.
+
+        Round 2 breaks conservation and lets vertices 1 and 8 both gain by
+        firing; round 3 lets both enter the abundant set.  Each row
+        reports its first failing round and, within it, the lowest
+        vertex, though frozenset({1, 8}) iterates 8 first.
+        """
+        g = cf.generate("cycle", 10)  # every degree 2, abundant at >= 4
+        ones = [1] * 10
+        steps = [
+            ((), ones),
+            ((1, 8), [1, 2, 1, 1, 1, 1, 1, 1, 3, 1]),
+            ((3,), [1, 5, 1, 1, 1, 1, 1, 1, 4, 1]),
+            ((0,), [2, 5, 1, 1, 1, 1, 1, 1, 4, 1]),
+        ]
+        rounds = tuple(
+            cf.RoundRecord(t, frozenset(f), cf.Configuration.of(candy))
+            for t, (f, candy) in enumerate(steps, 1)
+        )
+        passes = tuple((0,) * 10 for _ in rounds)  # not read by the core fold
+        trace = cf.GameTrace(
+            cf.Configuration.of(ones), rounds, passes, cf.StopReason.BUDGET
+        )
+        report = cf.check_core_invariants(g, trace)
+        assert [(r.name, r.status, r.counterexample) for r in report.checks] == [
+            ("conservation", FAIL, {"round": 2, "observed": 13, "expected": 10}),
+            ("no_gain", FAIL, {"round": 2, "vertex": 1, "before": 1, "after": 2}),
+            ("abundant_monotone", FAIL, {"round": 3, "vertex": 1, "before": 2, "after": 5}),
+        ]
+        assert report.metadata == {"c": 10, "rounds_recorded": 4}
+
 
 class TestPassCountGaps:
     def test_adjacent_and_pairwise(self, c3):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire.errors import ResourceExhausted, SizeMismatch
-from chipfire.parallel import _default_state_cap
+from chipfire.parallel import _default_state_cap, _record_orbit
 
 from conftest import naive_orbit, naive_round, neighbor_map
 
@@ -212,6 +212,54 @@ class TestAgainstReference:
         trace = cf.run(g, candy, 30)
         for t in range(len(trace.rounds) + 1):
             assert sum(trace.config_at(t).candy) == sum(candy)
+
+
+@st.composite
+def isolated_graph_and_config(draw):
+    """A graph with at least one degree-0 vertex, and candy up to 10**30."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    alone = draw(st.integers(min_value=0, max_value=n - 1))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n) if alone not in (u, w)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pile = st.one_of(st.integers(0, 12), st.integers(0, 10**30))
+    return cf.Graph.build(n, edges), draw(st.lists(pile, min_size=n, max_size=n))
+
+
+@given(isolated_graph_and_config())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_with_isolated_vertices(gc):
+    """Degree-0 vertices never fire, and huge piles compare exactly."""
+    g, candy = gc
+    ours, fired = cf.step(g, candy)
+    ref, ref_fired = naive_round(neighbor_map(g), list(candy))
+    assert list(ours.candy) == ref and set(fired) == ref_fired
+    pre, period = naive_orbit(g, candy)
+    out = cf.classify(g, candy)
+    if period == 1:
+        assert isinstance(out, cf.Stabilized) and out.stab_round == pre
+    else:
+        assert out == cf.EventuallyPeriodic(pre, period)
+    _, fired_seq, _, _ = _record_orbit(g, candy)
+    for f in fired_seq:
+        assert list(f) == sorted(set(f))
+        assert all(g.degree[v] for v in f)
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_trees_have_period_at_most_two(n, tree_seed, above, data):
+    """Bitar-Goles: parallel chip-firing on a tree has period 1 or 2."""
+    g = cf.generate("random_tree", n, seed=tree_seed)
+    t = max(cf.stabilization_threshold(g), 0)  # 4m - n = 3n - 4
+    c = data.draw(st.integers(t, 2 * t + 8) if above or t == 0 else st.integers(0, t - 1))
+    candy = cf.random_config(g.n, c, data.draw(st.integers(0, 2**64 - 1)))
+    out = cf.classify(g, candy)
+    assert isinstance(out, cf.Stabilized) or out.period == 2
 
 
 def test_trace_csv_golden(c3):

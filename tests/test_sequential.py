@@ -112,6 +112,14 @@ class TestAbelian:
         assert rep.reference == cf.Terminated(cf.Configuration.of([0, 1, 0]), 1)
         assert rep.divergences == ()
 
+    def test_move_budget_is_the_reference_length(self, p4):
+        # every terminating order has the reference's length L, so the
+        # random orders get exactly L moves and still terminate
+        rep = cf.check_abelian(p4, [0, 0, 0, 2], n_orders=10, seed=5)
+        assert rep.reference.length == 4
+        assert rep.move_budget == 4
+        assert rep.passed and rep.budget_exceeded == ()
+
     def test_infinite_instance_not_applicable(self, k2):
         rep = cf.check_abelian(k2, [5, 5], n_orders=3, seed=3)
         assert not rep.applicable
