@@ -23,6 +23,16 @@ the battery, the named checks and the public check_* functions are all
 read off it.  The public checks on a GameTrace feed the same folds from
 the trace.
 
+A corpus scan pays per configuration only for its walk and its folds.
+The per-graph constants the folds read (the abundance bars 2 * deg, the
+short bars 2 * deg - 2, the edge endpoints as two columns) are cached on
+the Graph (twice_degree, short_bar, edge_ends).  A row that passes with
+no detail is one shared immutable CheckResult (_PASSED).  The corpus
+drivers read CHIPFIRE_STATE_CAP once per scan, after the first
+configuration is drawn so that an enumeration or sampling error comes
+first, and an exhaustive scan hands each composition to the battery as
+Configuration(comp, c), valid by construction.
+
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
 Traces are finite but sufficient: once an above-threshold game reaches
@@ -34,8 +44,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import ge, le, sub
+from itertools import islice, repeat
+from operator import attrgetter, ge, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Disconnected, InvalidGraph
@@ -51,6 +61,7 @@ from .parallel import (
     Configuration,
     GameTrace,
     Stabilized,
+    _default_state_cap,
     _record_orbit,
     _step_raw,
     classify,
@@ -102,6 +113,12 @@ class CheckResult:
     detail: str = ""
 
 
+# A row that passes with no detail is the same immutable instance every
+# time, so a corpus scan does not build one per row per configuration.
+_PASSED = {name: CheckResult(name, PASS) for name in CHECK_ORDER}
+_status = attrgetter("status")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple[CheckResult, ...]
@@ -109,7 +126,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != FAIL for c in self.checks)
+        return FAIL not in map(_status, self.checks)
 
     def get(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -151,8 +168,8 @@ def _gate(g: Graph) -> None:
         raise InvalidGraph("analysis checks require n >= 2")
 
 
-def _abundant_count(candy: Sequence[int], degree: Sequence[int]) -> int:
-    return sum(1 for v in range(len(candy)) if candy[v] >= 2 * degree[v])
+def _abundant_count(candy: Sequence[int], twice: Sequence[int]) -> int:
+    return sum(map(ge, candy, twice))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +180,7 @@ def _abundant_count(candy: Sequence[int], degree: Sequence[int]) -> int:
 
 
 def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    twice = [2 * d for d in g.degree]
+    twice = g.twice_degree
     conservation = no_gain = monotone = None
     prev = None
     for t, cur in enumerate(states):
@@ -198,9 +215,9 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
             break
         prev = cur
     return [
-        conservation or CheckResult("conservation", PASS),
-        no_gain or CheckResult("no_gain", PASS),
-        monotone or CheckResult("abundant_monotone", PASS),
+        conservation or _PASSED["conservation"],
+        no_gain or _PASSED["no_gain"],
+        monotone or _PASSED["abundant_monotone"],
     ], {}
 
 
@@ -214,16 +231,19 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
     gap exceeds c, and the all-pairs scan runs only there: pairs in
     combinations order, with one BFS per source row it reaches.  Each
     round's largest edge gap is one C-level max; the first edge over c is
-    looked up only in the failing round.
+    looked up only in the failing round.  A vertex fires at most once a
+    round, so no two counts differ by more than t after round t: rounds
+    up to c cannot fail, and a record no longer than c is not read.
     """
-    us = [u for u, _ in g.edges]
-    ws = [w for _, w in g.edges]
+    if len(fired) <= c:
+        return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
+    us, ws = g.edge_ends
     cum = [0] * g.n
     count = cum.__getitem__
     for t, f in enumerate(fired, 1):
         for v in f:
             cum[v] += 1
-        if max(map(abs, map(sub, map(count, us), map(count, ws)))) > c:
+        if t > c and max(map(abs, map(sub, map(count, us), map(count, ws)))) > c:
             eu, ew = next((u, w) for u, w in g.edges if abs(cum[u] - cum[w]) > c)
             u, w, bound = next(
                 (u, w, dist[w] * c)
@@ -254,32 +274,33 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
                     },
                 ),
             ], {}
-    return [CheckResult("adjacent_pass_gap", PASS), CheckResult("pairwise_pass_gap", PASS)], {}
+    return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
 
 
 def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """The three above-threshold firing guarantees, and the witness vertex."""
-    nonempty = CheckResult("fired_nonempty", PASS)
-    for t, f in enumerate(fired, 1):
-        if not f:
-            nonempty = CheckResult("fired_nonempty", FAIL, {"round": t})
-            break
-    common = set(range(g.n))
-    empty_at = None
-    for t, f in enumerate(fired, 1):
-        common.intersection_update(f)
-        if not common:
-            empty_at = t
-            break
-    witness = min(common) if common else None
-    always = (
-        CheckResult("always_firing", PASS, detail=f"witness vertex {witness}")
-        if witness is not None
-        else CheckResult("always_firing", FAIL, {"empty_after_round": empty_at})
-    )
-    twice = [2 * d for d in g.degree]
-    short = [bar - 2 for bar in twice]
-    pigeonhole = CheckResult("surplus_pigeonhole", PASS)
+    """The three above-threshold firing guarantees, and the witness vertex.
+
+    The first two are C-level passes over the fired sets; the round where
+    one first fails is looked up only when it fails.
+    """
+    nonempty = _PASSED["fired_nonempty"]
+    if not all(fired):
+        t = next(t for t, f in enumerate(fired, 1) if not f)
+        nonempty = CheckResult("fired_nonempty", FAIL, {"round": t})
+    common = set(range(g.n)).intersection(*fired)
+    if common:
+        witness = min(common)
+        always = CheckResult("always_firing", PASS, detail=f"witness vertex {witness}")
+    else:
+        witness = None
+        common = set(range(g.n))
+        for t, f in enumerate(fired, 1):
+            common.intersection_update(f)
+            if not common:
+                break
+        always = CheckResult("always_firing", FAIL, {"empty_after_round": t})
+    twice, short = g.twice_degree, g.short_bar
+    pigeonhole = _PASSED["surplus_pigeonhole"]
     for t, candy in enumerate(states):
         if any(map(le, candy, short)) and not any(map(ge, candy, twice)):
             deficient = next(v for v in range(g.n) if candy[v] <= short[v])
@@ -293,7 +314,11 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
 
 
 def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """Round bound n * d * c and idle gaps capped at d * c."""
+    """Round bound n * d * c and idle gaps capped at d * c.
+
+    No vertex idles longer than stab rounds before round stab, so the
+    idle runs are measured only when stab exceeds d * c.
+    """
     d = g.diameter
     bound = g.n * d * c
     gap_bound = d * c
@@ -316,6 +341,8 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
     within = CheckResult(
         "stabilized_within_bound", PASS, detail=f"stab_round {stab} <= {bound}"
     )
+    if stab <= gap_bound:
+        return [within, _PASSED["idle_gap"]], meta
     # longest run of idle rounds per vertex within rounds 1..stab, in one pass
     last = [0] * g.n  # round each vertex last fired, 0 before the first round
     longest = [0] * g.n
@@ -325,7 +352,7 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
             if idle > longest[v]:
                 longest[v] = idle
             last[v] = t
-    idle = CheckResult("idle_gap", PASS)
+    idle = _PASSED["idle_gap"]
     for v in range(g.n):
         gap = max(longest[v], stab - last[v])
         if gap > gap_bound:
@@ -438,7 +465,7 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
         checks += rows
         found.update(meta)
     if stabilized:
-        checks.append(CheckResult("stabilizes", PASS))
+        checks.append(_PASSED["stabilizes"])
     else:
         cycle_min = min(states[preperiod:preperiod + period])
         checks.append(
@@ -465,8 +492,8 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
         "period": None if stabilized else period,
         "slack": found.get("slack"),
         "always_firing_witness": found.get("always_firing_witness"),
-        "abundant_start": _abundant_count(initial.candy, g.degree),
-        "abundant_end": _abundant_count(states[-1], g.degree),
+        "abundant_start": _abundant_count(initial.candy, g.twice_degree),
+        "abundant_end": _abundant_count(states[-1], g.twice_degree),
         "rounds_recorded": len(fired),
         "finite_check_note": FINITE_CHECK_NOTE,
     }
@@ -571,45 +598,44 @@ def verify_corpus(
     d = g.diameter
     if mode == "exhaustive":
         total = compositions_count(g.n, c)
-        stream: Iterable = enumerate_configs(g.n, c, cap=enum_cap)
+        # every composition has total c and non-negative parts: no re-validation
+        stream: Iterable = map(Configuration, enumerate_configs(g.n, c, cap=enum_cap), repeat(c))
     elif mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
         total = trials
-        stream = (
-            random_config(g.n, c, derive_seed(seed, i)).candy for i in range(trials)
-        )
+        stream = (random_config(g.n, c, derive_seed(seed, i)) for i in range(trials))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    agg: dict[str, dict] = {
-        name: {"name": name, "status": None, "first_counterexample": None}
-        for name in CHECK_ORDER
-    }
+    columns = set()  # each distinct tuple of row statuses, in CHECK_ORDER
     checked = 0
     failing_config = None
-    for comp in stream:
-        report = verify_battery(g, comp, state_cap)
+    cap = state_cap
+    for config in stream:
+        # read after the first configuration, so enumeration errors come first
+        if cap is None:
+            cap = _default_state_cap()
+        report = verify_battery(g, config, cap)
         checked += 1
-        for result in report.checks:
-            slot = agg[result.name]
-            if result.status == FAIL:
-                if slot["status"] != FAIL:
-                    slot["status"] = FAIL
-                    slot["first_counterexample"] = {
-                        "config": list(comp),
-                        "index": checked - 1,
-                        **(result.counterexample or {}),
-                    }
-            elif slot["status"] is None or (
-                slot["status"] == NOT_APPLICABLE and result.status == PASS
-            ):
-                slot["status"] = result.status
-        if not report.ok and failing_config is None:
-            failing_config = list(comp)
+        statuses = tuple(map(_status, report.checks))
+        columns.add(statuses)
+        if FAIL in statuses:
+            failing_config = list(config.candy)
             break
-    for slot in agg.values():
-        if slot["status"] is None:
-            slot["status"] = NOT_APPLICABLE
+    agg = []
+    for i, name in enumerate(CHECK_ORDER):
+        seen = {col[i] for col in columns}
+        status = FAIL if FAIL in seen else PASS if PASS in seen else NOT_APPLICABLE
+        agg.append({"name": name, "status": status, "first_counterexample": None})
+    if failing_config is not None:
+        # the scan stopped at the first failing configuration: its rows are the failures
+        for slot, result in zip(agg, report.checks):
+            if result.status == FAIL:
+                slot["first_counterexample"] = {
+                    "config": list(failing_config),
+                    "index": checked - 1,
+                    **(result.counterexample or {}),
+                }
     ok = failing_config is None
     return {
         "graph": {"n": g.n, "m": g.m, "diameter": d, "connected": g.connected},
@@ -623,7 +649,7 @@ def verify_corpus(
         "configs_checked": checked,
         "ok": ok,
         "first_failing_config": failing_config,
-        "checks": [agg[name] for name in CHECK_ORDER],
+        "checks": agg,
         "finite_check_note": FINITE_CHECK_NOTE,
     }
 
@@ -662,10 +688,13 @@ def sweep_experiment(
     threshold = stabilization_threshold(g)
     d = g.diameter
     rows = []
+    cap = state_cap
     for ci, c in enumerate(c_values):
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
-            report = verify_battery(g, cfg, state_cap)
+            if cap is None:
+                cap = _default_state_cap()
+            report = verify_battery(g, cfg, cap)
             md = report.metadata
             stabilized = md["outcome"] == "stabilized"
             rows.append(
@@ -832,6 +861,7 @@ def random_instance_suite(
     p_choices = (0.3, 0.4, 0.5, 0.6, 0.7)
     rows = []
     violations = []
+    cap = state_cap
     for i in range(count):
         rng = SplitMix64(derive_seed(seed, i))
         kind = kinds[rng.below(len(kinds))]
@@ -844,7 +874,9 @@ def random_instance_suite(
         _gate(g)
         c = stabilization_threshold(g)
         cfg = random_config(g.n, c, rng.next_u64())
-        report = verify_battery(g, cfg, state_cap)
+        if cap is None:
+            cap = _default_state_cap()
+        report = verify_battery(g, cfg, cap)
         md = report.metadata
         row = {
             "instance": i,

@@ -3,7 +3,8 @@
 Exit codes, used consistently by every subcommand:
 
     0  success
-    1  input error (bad flags, unreadable graph, malformed spec string)
+    1  input error (bad flags, unreadable graph, malformed spec string,
+       malformed CHIPFIRE_STATE_CAP)
     2  simulation hit its round budget without reaching a fixed point
     3  verification found a counterexample
     4  a resource cap (orbit store, enumeration cap, graph size from a
@@ -412,6 +413,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "trials", None) is not None and getattr(args, "exhaustive", False):
             raise _InputError("--exhaustive and --trials are mutually exclusive")
+        try:
+            _default_state_cap()  # every subcommand reads it; check it before any work
+        except ValueError as e:
+            raise _InputError(str(e)) from None
         return _DISPATCH[args.cmd](args)
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -85,6 +85,24 @@ class Graph:
         return tuple(d if d else math.inf for d in self.degree)
 
     @cached_property
+    def twice_degree(self) -> tuple[int, ...]:
+        """2 * deg(v) per vertex, the abundance bar: v is abundant when it
+        holds at least this much.  Built on first access and kept."""
+        return tuple(2 * d for d in self.degree)
+
+    @cached_property
+    def short_bar(self) -> tuple[int, ...]:
+        """2 * deg(v) - 2 per vertex: v is short when it holds at most this
+        much.  Built on first access and kept."""
+        return tuple(2 * d - 2 for d in self.degree)
+
+    @cached_property
+    def edge_ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The edges as two columns (us, ws), edge i joining us[i] and ws[i],
+        for C-level maps over every edge.  Built on first access and kept."""
+        return tuple(u for u, _ in self.edges), tuple(w for _, w in self.edges)
+
+    @cached_property
     def validation(self) -> "ValidationReport":
         """validate(self), run on first access and kept: a Graph is immutable."""
         return validate(self)

@@ -465,3 +465,49 @@ def test_stabilization_bound_matches_battery(spec):
             battery = cf.verify_battery(g, comp)
             assert bound.checks == tuple(battery.get(r) for r in rows), comp
             assert [bound.metadata[k] for k in keys] == [battery.metadata[k] for k in keys], comp
+
+
+def test_enumeration_cap_before_state_cap(monkeypatch):
+    # an over-cap scan fails on the enumeration cap before the state cap is read
+    monkeypatch.setenv("CHIPFIRE_STATE_CAP", "soon")
+    with pytest.raises(ResourceExhausted):
+        cf.verify_corpus(cf.generate("cycle", 6), 18, enum_cap=10)
+
+
+def test_library_writes_nothing_to_stdout(capsys, c3, c4):
+    cf.verify_corpus(c4, 12)
+    cf.verify_corpus(c4, 4)
+    cf.threshold_probe(c3, 9)
+    cf.sweep_experiment(c4, [4, 12], 2, 1)
+    cf.verify_battery(c3, [9, 0, 0])
+    cf.run(c3, [9, 0, 0], 10)
+    assert capsys.readouterr().out == ""
+
+
+def test_firing_failure_reports_are_pinned(c3):
+    # no real game above the threshold fails these rows, so a trace is built
+    # by hand: nobody fires in round 3, and no vertex fires in both rounds 1 and 2
+    trace = _hand_trace(c3, [9, 0, 0], [{0}, {1}, set(), {0, 1, 2}])
+    report = cf.check_always_firing(c3, trace)
+    assert [(r.name, r.status, r.counterexample) for r in report.checks] == [
+        ("fired_nonempty", FAIL, {"round": 3}),
+        ("always_firing", FAIL, {"empty_after_round": 2}),
+        ("surplus_pigeonhole", PASS, None),
+    ]
+    assert report.metadata["always_firing_witness"] is None
+
+
+def test_idle_gap_fold_past_d_times_c(p3):
+    # path:3 has d = 2; with c = 1 the idle cap d * c = 2 is below stab = 5,
+    # so the idle runs are measured: vertex 0 idles in rounds 2-4
+    from chipfire.analysis import _bound_checks
+
+    states = [(1, 0, 0)]  # read only when the game fails to stabilize in time
+    rows, meta = _bound_checks(p3, 1, states, [(0,), (), (), (), (0, 1, 2)], 5)
+    assert [(r.name, r.status, r.counterexample) for r in rows] == [
+        ("stabilized_within_bound", PASS, None),
+        ("idle_gap", FAIL, {"vertex": 0, "observed": 3, "bound": 2}),
+    ]
+    assert meta == {"bound": 6, "gap_bound": 2, "stab_round": 5, "slack": 1}
+    rows, _ = _bound_checks(p3, 1, states, [(0, 1, 2)] * 5, 5)
+    assert rows[1].status == PASS

@@ -1,8 +1,14 @@
 """CLI surface: exit codes, output files, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import chipfire as cf
 
 from chipfire import cli
 from chipfire.cli import (
@@ -212,6 +218,30 @@ class TestParsing:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "chipfire" in capsys.readouterr().out
+
+
+BAD_CAP_ARGV = (
+    ["simulate", "cycle:3", "concentrated:9,0"],
+    ["verify", "cycle:3", "--c", "9"],
+    ["sweep", "cycle:3", "--c-values", "9", "--trials", "1"],
+    ["probe", "cycle:3", "--c-max", "3"],
+)
+
+
+@pytest.mark.parametrize("argv", BAD_CAP_ARGV, ids=lambda argv: argv[0])
+def test_malformed_state_cap_is_an_input_error(argv):
+    src = str(Path(cf.__file__).resolve().parent.parent)
+    env = {**os.environ, "CHIPFIRE_STATE_CAP": "soon", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: CHIPFIRE_STATE_CAP must be an integer, got 'soon'"
+    ]
+    assert proc.stdout == ""
 
 
 class TestDeterminism:

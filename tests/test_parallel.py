@@ -15,6 +15,23 @@ def test_configuration_rejects_negative():
         cf.Configuration.of([1, -1])
 
 
+def test_configuration_names_first_negative():
+    with pytest.raises(ValueError, match=r"^negative candy count -2$"):
+        cf.Configuration.of([1, -2, -5])
+
+
+def test_configuration_coerces_bools_and_floats():
+    conf = cf.Configuration.of([True, 2.9, False, 3])
+    assert conf.candy == (1, 2, 0, 3) and conf.total == 6
+    assert all(type(v) is int for v in conf.candy)
+
+
+def test_configuration_empty_and_generator_inputs():
+    assert cf.Configuration.of(()) == cf.Configuration((), 0)
+    conf = cf.Configuration.of(v for v in (3, 0, 1))
+    assert conf.candy == (3, 0, 1) and conf.total == 4
+
+
 def test_step_hand_example(c3):
     conf, fired = cf.step(c3, [9, 0, 0])
     assert conf.candy == (7, 1, 1)
