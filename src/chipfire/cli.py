@@ -45,11 +45,11 @@ EXIT_RESOURCE = 4
 # Largest graph a generator spec may ask for, checked before anything is
 # built.  Measured on one 2.1 GHz Xeon vCPU: random_tree:10000 builds in
 # 4.1 s and 30 MB (the reach bitsets hold n^2 bits, 12.5 MB per copy at
-# this cap), and the slowest sparse kind, path:10000, in 106 s.  gnp and
-# complete spend about 1.2 us on every vertex pair (a coin flip per
-# G(n, p) attempt, an edge for complete, which also holds ~240 bytes per
-# edge): gnp:1000 flips its 499 500 pairs in 0.64 s per attempt, and
-# complete:1000 builds in 0.61 s and 119 MB.
+# this cap), and the slowest sparse kind, path:10000, in 106 s.  complete
+# spends about 1.2 us and ~240 bytes on every vertex pair, an edge each:
+# complete:1000 builds in 0.6-0.7 s and 119-136 MB peak.  gnp draws its
+# coins in lane-packed chunks, about 0.14 us a pair: gnp:1000,0.01 walks
+# its 499 500 pairs in 0.07 s per G(n, p) attempt.
 MAX_SPEC_VERTICES = 10_000
 MAX_SPEC_PAIRS = 500_000
 
@@ -230,7 +230,14 @@ def _first_failing_check(report: dict) -> Optional[dict]:
     return None
 
 
+def _check_enum_cap(cap: int) -> None:
+    # a negative cap is malformed, not a cap that every scan exceeds
+    if cap < 0:
+        raise _InputError("--enum-cap must be >= 0")
+
+
 def _cmd_verify(args) -> int:
+    _check_enum_cap(args.enum_cap)
     g = _parse_graph_source(args.graph)
     if args.c == "auto":
         c = stabilization_threshold(g)
@@ -322,6 +329,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    _check_enum_cap(args.enum_cap)
     g = _parse_graph_source(args.graph)
     if args.c_max < 0:
         raise _InputError("--c-max must be >= 0")

@@ -8,6 +8,13 @@ neighbours' masks, growing each set by one hop, in O(d * m) big-int ORs
 distances come from a BFS per source row (Graph.distances_from); the
 pairwise pass-count gap check runs those only in the one round where it
 scans every pair.
+
+generate("random_connected", n, p, seed) is G(n, p) conditioned on
+connectivity by retrying: attempt a draws from the splitmix64 stream
+seeded with derive_seed(seed, a), one coin per vertex pair (i < j) in
+lexicographic order, the pair an edge when its coin is 1.  The coins
+come from SplitMix64.chances, at most rng.CHUNK per call, so an
+attempt's working memory is one chunk plus the edges it keeps.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, compress, islice
 from typing import Iterable, Optional
 
 from .errors import Disconnected, EmptyGraph, InvalidGraph, ParseError, Unsatisfiable
-from .rng import SplitMix64, derive_seed
+from .rng import CHUNK, SplitMix64, derive_seed
 
 GENERATOR_KINDS = ("cycle", "path", "complete", "star", "random_tree", "random_connected")
 
@@ -280,14 +288,14 @@ def _random_tree_edges(n: int, seed: int) -> list[tuple[int, int]]:
 def _random_connected(n: int, p: float, seed: int) -> Graph:
     # Retry G(n, p) draws until one is connected; each attempt has its own
     # derived stream so the sequence of attempts is reproducible.
+    total = n * (n - 1) // 2
     for attempt in range(_GNP_RETRIES):
         rng = SplitMix64(derive_seed(seed, attempt))
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.chance(p)
-        ]
+        pairs = combinations(range(n), 2)
+        edges: list[tuple[int, int]] = []
+        for done in range(0, total, CHUNK):
+            k = min(CHUNK, total - done)
+            edges.extend(compress(islice(pairs, k), rng.chances(p, k)))
         g = Graph.build(n, edges)
         if g.connected:
             return g

@@ -6,10 +6,15 @@ into n parts.  Everything here fixes one enumeration convention
 rank 0 and (c, 0, 0) is the last) and builds counting, enumeration,
 unranking, uniform sampling, and exhaustive verification on top of it.  Counting is
 exact stars-and-bars: C(c + n - 1, n - 1).  Ranking and unranking walk the
-blocks of that order with one binomial per call, then O(n + c) exact
-updates by small integers (C(N - 1, k) = C(N, k) * (N - k) / N within a
-position, C(N - 1, k - 1) = C(N, k) * k / N to the next) instead of one
-binomial per candidate value.
+blocks of that order with one binomial per call, then exact updates by
+small integers (C(N - 1, k) = C(N, k) * (N - k) / N within a position,
+C(N - 1, k - 1) = C(N, k) * k / N to the next) instead of one binomial
+per candidate value.  A part larger than _WALK is not walked value by
+value: skipping v values at a position skips
+C(top + 1, k + 1) - C(top + 1 - v, k + 1) compositions (the hockey-stick
+sum of the blocks), so ranking counts it in closed form and unranking
+bisects on that sum.  Either way the cost is O(n) updates plus
+O(n log c) binomials at most, however large c is.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .parallel import Configuration
 from .rng import SplitMix64
 
 DEFAULT_ENUM_CAP = 10_000_000
+_WALK = 1_000  # values a part is walked one by one before the closed form takes over
 
 
 def compositions_count(n: int, c: int) -> int:
@@ -94,6 +100,12 @@ def _shrink(block: int, top: int, factor: int) -> int:
     return block * factor // top
 
 
+def _skipped(top: int, k: int, v: int) -> int:
+    """Compositions skipped by the first v values at a position whose
+    value-0 block is C(top, k): C(top, k) + ... + C(top - v + 1, k)."""
+    return comb(top + 1, k + 1) - comb(top + 1 - v, k + 1)
+
+
 def rank_composition(comp) -> int:
     """Lexicographic rank of a composition (inverse of unrank_composition).
 
@@ -111,10 +123,15 @@ def rank_composition(comp) -> int:
     block = comb(top, k)
     rank = 0
     for part in comp[:-1]:
-        for _ in range(part):
-            rank += block
-            block = _shrink(block, top, top - k)
-            top -= 1
+        if part > _WALK:
+            rank += _skipped(top, k, part)
+            top -= part
+            block = comb(top, k)
+        else:
+            for _ in range(part):
+                rank += block
+                block = _shrink(block, top, top - k)
+                top -= 1
         if k:
             block = _shrink(block, top, k)
             top, k = top - 1, k - 1
@@ -124,7 +141,8 @@ def rank_composition(comp) -> int:
 def unrank_composition(n: int, c: int, rank: int) -> tuple[int, ...]:
     """The rank-th composition of c into n parts, lexicographically.
 
-    Costs one binomial, then O(n + c) exact updates by small integers.
+    Costs one binomial, then exact updates by small integers; a part
+    that passes _WALK values is finished by bisection on _skipped.
     """
     total = compositions_count(n, c)
     if not 0 <= rank < total:
@@ -135,12 +153,26 @@ def unrank_composition(n: int, c: int, rank: int) -> tuple[int, ...]:
     top, k = c + n - 2, n - 2
     block = _shrink(total, top + 1, k + 1) if n > 1 else 1
     for _ in range(n - 1):
-        v = 0
-        while rank >= block:
+        for v in range(_WALK):
+            if rank < block:
+                break
             rank -= block
-            block = _shrink(block, top, top - k)
+            block = block * (top - k) // top  # _shrink(block, top, top - k), inlined: once per candy
             top -= 1
-            v += 1
+        else:
+            # the largest s with _skipped(top, k, s) <= rank; s = top - k + 1
+            # would skip every composition left, which is more than rank
+            lo, hi = 0, top - k + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _skipped(top, k, mid) <= rank:
+                    lo = mid
+                else:
+                    hi = mid
+            rank -= _skipped(top, k, lo)
+            top -= lo
+            v = _WALK + lo
+            block = comb(top, k)
         out.append(v)
         rem -= v
         if k:

@@ -10,6 +10,18 @@ from math import comb
 import pytest
 
 import chipfire as cf
+from chipfire.rng import mix64
+
+
+def reference_coins(seed, p, count):
+    """count chance(p) coins of the splitmix64 stream seeded with seed,
+    drawn one scalar word at a time, and the state they leave behind."""
+    state = seed % 2**64
+    coins = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        coins.append(1 if (mix64(state) >> 11) < p * 2**53 else 0)
+    return bytes(coins), state
 
 
 def neighbor_map(g):

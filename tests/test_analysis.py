@@ -475,6 +475,10 @@ def test_enumeration_cap_before_state_cap(monkeypatch):
 
 
 def test_library_writes_nothing_to_stdout(capsys, c3, c4):
+    for kind in cf.GENERATOR_KINDS:
+        cf.generate(kind, 300 if kind == "random_connected" else 5, p=0.03, seed=1)
+    cf.random_config(300, 5_000, 1)
+    cf.random_config(3, 10**30, 1)
     cf.verify_corpus(c4, 12)
     cf.verify_corpus(c4, 4)
     cf.threshold_probe(c3, 9)

@@ -111,6 +111,16 @@ class TestVerify:
         assert code == EXIT_RESOURCE
         assert "exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["verify", "path:3", "--c", "5"], ["probe", "path:3", "--c-max", "5"]])
+    def test_negative_enum_cap_is_an_input_error(self, cmd, capsys):
+        assert main([*cmd, "--enum-cap", "-1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --enum-cap must be >= 0"]
+        assert captured.out == ""
+
+    def test_zero_enum_cap_is_still_a_resource_cap(self, capsys):
+        assert main(["verify", "path:3", "--c", "5", "--enum-cap", "0"]) == EXIT_RESOURCE
+
     def test_report_out_matches_stdout(self, tmp_path, capsys):
         dest = tmp_path / "report.json"
         main(["verify", "cycle:3", "--c", "9", "--report-out", str(dest)])
@@ -242,6 +252,19 @@ def test_malformed_state_cap_is_an_input_error(argv):
         "error: CHIPFIRE_STATE_CAP must be an integer, got 'soon'"
     ]
     assert proc.stdout == ""
+
+
+def test_random_config_with_a_huge_total_returns():
+    # unranking a 23-digit total once walked every value of every part
+    src = str(Path(cf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "simulate", "path:3", "random:99999999999999999999999,0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["manifest"]["c"] == sum(out["final"]) == 99999999999999999999999
+    assert out["stop"] == "fixed_point"
 
 
 class TestDeterminism:

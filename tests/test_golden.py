@@ -9,6 +9,7 @@ import hashlib
 import json
 
 import chipfire as cf
+from conftest import reference_coins
 
 
 def _sha256(text: str) -> str:
@@ -77,3 +78,39 @@ def test_sweep_csv_random_connected():
     assert _sha256(cf.sweep_csv(rows)) == (
         "511229691b35172ba20e0ecc0347ba21bd8165c17adbdfb3a905ba18cb74318e"
     )
+
+
+# sha256 of repr(generate("random_connected", n, p=p, seed=seed).edges)
+GNP_EDGES = {
+    # the benchmark's seed-1 sweep graphs
+    (300, 0.03, 1000): "80d0885602eb7eb56dd077cb3ccaef8ff3a161354697d1b917a24a2430e878ce",
+    (300, 0.03, 1001): "e5c9db4b68e5d764cc0a7d9eac5ab14e6b0d21aa8b2fe7aa4bb39babae91b24f",
+    (300, 0.03, 1002): "da205308b4c4f1dff5b5090236b389de817d9079ead3da5e43c21c4f94b4be40",
+    (300, 0.03, 1003): "19070f02217eb55bb0e9408005fda9fa7bcfdd60639bed2bb279d2e170c800ff",
+    (300, 0.03, 1004): "7d9c90cea372f441552359305ed3c2324166459d29958bb6111f7b788bb95c80",
+    (300, 0.03, 1005): "491ada6a55fea39fff41d29416aed32653d97fff6ba6b820bc0800db57f4f5cc",
+    # attempts 0-2 are disconnected, so the fourth derived stream is used
+    (10, 0.25, 5): "984f369b9c524dc94e694c25f3b14bde66e3da065348b7ec08ff0b1bde6b83f4",
+    (1, 0.5, 3): "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    (1, 0.0, 3): "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    (2, 0.5, 3): "9a96df51dc791004ba79c210a5443532cf486a99b718d3ddb603ca75a2eaa0cf",
+    (2, 1.0, 3): "9a96df51dc791004ba79c210a5443532cf486a99b718d3ddb603ca75a2eaa0cf",
+    (9, 1.0, 4): "89582e25df6925899bbccf95a6a17abe912dea6e7e76137f38f61944e0be3fb1",
+}
+
+
+def test_random_connected_edge_streams():
+    for (n, p, seed), digest in GNP_EDGES.items():
+        g = cf.generate("random_connected", n, p=p, seed=seed)
+        assert _sha256(repr(g.edges)) == digest, (n, p, seed)
+
+
+def test_random_connected_retries_in_order():
+    # the pinned retry case: the first three attempts' edge draws leave a
+    # vertex cut off, and a connected graph only comes from attempt 3
+    pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+    for attempt in range(4):
+        flips, _ = reference_coins(cf.derive_seed(5, attempt), 0.25, len(pairs))
+        g = cf.Graph.build(10, [e for e, f in zip(pairs, flips) if f])
+        assert g.connected == (attempt == 3)
+    assert g == cf.generate("random_connected", 10, p=0.25, seed=5)

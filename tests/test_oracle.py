@@ -118,6 +118,46 @@ class TestRankingAtScale:
             assert cf.random_config(300, c, seed).candy == reference_unrank(300, c, rank)
 
 
+class TestLongParts:
+    """Parts longer than the linear walk: closed-form ranking, bisected unranking."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1_001, max_value=2_500), st.data())
+    def test_matches_reference(self, n, c, data):
+        total = cf.compositions_count(n, c)
+        # the last compositions_count(n, c - 1 001) ranks start with a part of at least 1 001
+        long_first = st.integers(min_value=total - cf.compositions_count(n, c - 1_001), max_value=total - 1)
+        r = data.draw(st.integers(min_value=0, max_value=total - 1) | long_first)
+        comp = reference_unrank(n, c, r)
+        assert cf.unrank_composition(n, c, r) == comp
+        assert cf.rank_composition(comp) == r
+
+    @pytest.mark.parametrize("part", [999, 1_000, 1_001, 1_002])
+    def test_parts_at_the_walk_boundary(self, part):
+        for comp in [(part, 0, 7), (3, part, 2), (0, 0, part), (part, part + 1, 0, 1)]:
+            r = cf.rank_composition(comp)
+            assert cf.unrank_composition(len(comp), sum(comp), r) == comp
+            assert reference_unrank(len(comp), sum(comp), r) == comp
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_round_trip_at_ten_to_the_thirty(self, n):
+        c = 10**30
+        total = cf.compositions_count(n, c)
+        rng = cf.SplitMix64(n)
+        ranks = [0, 1, total // 2, total - 2, total - 1] + [rng.below(total) for _ in range(5)]
+        for r in ranks:
+            comp = cf.unrank_composition(n, c, r)
+            assert len(comp) == n and sum(comp) == c and min(comp) >= 0
+            assert cf.rank_composition(comp) == r
+        assert cf.unrank_composition(n, c, total - 1) == (c,) + (0,) * (n - 1)
+        assert cf.unrank_composition(n, c, 1) == (0,) * (n - 2) + (1, c - 1)
+
+    def test_random_config_at_ten_to_the_thirty(self):
+        cfg = cf.random_config(3, 10**30, 0)
+        assert cfg.total == 10**30
+        assert cf.rank_composition(cfg.candy) == cf.SplitMix64(0).below(cf.compositions_count(3, 10**30))
+
+
 class TestRandomConfig:
     def test_deterministic(self):
         a = cf.random_config(5, 9, seed=42)

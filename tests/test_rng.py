@@ -1,10 +1,11 @@
 """Known-answer and distribution tests for the seeded RNG."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from chipfire.rng import SplitMix64, derive_seed, keyed_u64, mix64
+from chipfire.rng import CHUNK, SplitMix64, derive_seed, keyed_u64, mix64
+from conftest import reference_coins
 
 
 def test_splitmix64_seed0_vectors():
@@ -88,3 +89,48 @@ def test_below_in_range(seed, n):
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_mix64_stays_in_word(z):
     assert 0 <= mix64(z) < 2**64
+
+
+# every float, plus the values whose bar sits on an edge: NaN, the
+# infinities, negatives, p > 1, the smallest subnormal and 1 - 2^-53
+PROBABILITIES = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1.0, 0.03, 0.5, 1e-9, -0.5, 1.5, 5e-324, 1 - 2**-53, 2**-53, 3 * 2**-54]
+)
+SEEDS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SEEDS,
+    PROBABILITIES,
+    st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]) | st.integers(0, 40),
+)
+@example(seed=2**64 + 7, p=float("nan"), count=CHUNK + 1)
+@example(seed=-1, p=float("inf"), count=3 * CHUNK + 5)
+@example(seed=0, p=float("-inf"), count=CHUNK)
+def test_chances_match_scalar_coins(seed, p, count):
+    # a run longer than CHUNK is drawn chunk by chunk, as graph.generate does
+    coins, state = reference_coins(seed, p, count)
+    batched = SplitMix64(seed)
+    drawn = b"".join(
+        batched.chances(p, min(CHUNK, count - done)) for done in range(0, count, CHUNK)
+    )
+    assert drawn == coins
+    scalar = SplitMix64(seed)
+    for _ in range(count):
+        scalar.next_u64()
+    assert batched.next_u64() == scalar.next_u64() == mix64(state + 0x9E3779B97F4A7C15)
+
+
+@given(SEEDS, PROBABILITIES)
+def test_chance_is_one_reference_coin(seed, p):
+    coins, _ = reference_coins(seed, p, 1)
+    assert SplitMix64(seed).chance(p) is (coins == b"\x01")
+
+
+@pytest.mark.parametrize("count", [-1, CHUNK + 1])
+def test_chances_rejects_counts_outside_one_chunk(count):
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError):
+        rng.chances(0.5, count)
+    assert rng.next_u64() == SplitMix64(5).next_u64()

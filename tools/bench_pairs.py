@@ -1,0 +1,110 @@
+"""Compare two checkouts with the benchmark, in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload sweep-gnp300 --seeds 21 22 23 24 25 26 27 28 29 30
+
+For each workload and seed this runs ``<checkout>/bench/run.py`` once in
+each checkout, one process at a time, alternating which side runs first
+(pair i starts with the parent when i is even), and reads the JSON object
+on the last line of each run's stdout.  A run that exits non-zero or
+prints no result counts as failed.  It then prints, per workload and
+end-to-end metric, each side's median and quartiles over its runs, how
+many pairs the change won (ties count for neither side), and the summed
+``failed`` and ``attempted`` counts.  Which direction is better comes from
+the parent's ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+from statistics import quantiles
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The run's result object, or None when it gave none."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(workload: str, pairs: list[tuple[dict | None, dict | None]], better: dict) -> None:
+    print(f"== {workload}: {len(pairs)} pairs")
+    for name, direction in better.items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs if p]
+        change = [c["metrics"][name]["value"] for _, c in pairs if c]
+        wins = losses = 0
+        for p, c in pairs:
+            if not (p and c):
+                continue
+            a, b = p["metrics"][name]["value"], c["metrics"][name]["value"]
+            if a != b:
+                change_better = b < a if direction == "lower" else b > a
+                wins += change_better
+                losses += not change_better
+        if not (parent and change):
+            print(f"  {name:<14} no results")
+            continue
+        pq1, pmed, pq3 = quartiles(parent)
+        cq1, cmed, cq3 = quartiles(change)
+        shift = (cmed - pmed) / pmed if pmed else float("nan")
+        print(
+            f"  {name:<14} parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  "
+            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
+            f"{shift:+.1%}  wins {wins}/{wins + losses}  "
+            f"|median gap| {abs(cmed - pmed):.3g} vs parent IQR {pq3 - pq1:.3g}"
+        )
+    for side, index in (("parent", 0), ("change", 1)):
+        runs = [pair[index] for pair in pairs]
+        failed = sum(r["failed"] for r in runs if r) + sum(1 for r in runs if r is None)
+        attempted = sum(r["attempted"] for r in runs if r)
+        print(f"  {side} failed {failed} of {attempted} attempted ({runs.count(None)} runs with no result)")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, default=24.0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for workload in args.workload:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            sides = {}
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = args.parent if side == "parent" else args.change
+                sides[side] = run_once(checkout, workload, seed, args.seconds)
+            pairs.append((sides["parent"], sides["change"]))
+            print(f"[{workload}] pair {i + 1}/{len(args.seeds)} seed {seed} done",
+                  file=sys.stderr, flush=True)
+        summarize(workload, pairs, better)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
