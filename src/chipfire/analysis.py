@@ -28,7 +28,7 @@ The per-graph constants the folds read (the abundance bars 2 * deg, the
 short bars 2 * deg - 2, the edge endpoints as two columns) are cached on
 the Graph (twice_degree, short_bar, edge_ends).  A row that passes with
 no detail is one shared immutable CheckResult (_PASSED).  The corpus
-drivers read CHIPFIRE_STATE_CAP once per scan, after the first
+drivers resolve the state cap once per scan, after the first
 configuration is drawn so that an enumeration or sampling error comes
 first, and an exhaustive scan hands each composition to the battery as
 Configuration(comp, c), valid by construction.
@@ -610,11 +610,11 @@ def verify_corpus(
     columns = set()  # each distinct tuple of row statuses, in CHECK_ORDER
     checked = 0
     failing_config = None
-    cap = state_cap
+    cap = None
     for config in stream:
-        # read after the first configuration, so enumeration errors come first
+        # resolved after the first configuration, so enumeration errors come first
         if cap is None:
-            cap = _default_state_cap()
+            cap = _default_state_cap(state_cap)
         report = verify_battery(g, config, cap)
         checked += 1
         statuses = tuple(map(_status, report.checks))
@@ -688,12 +688,12 @@ def sweep_experiment(
     threshold = stabilization_threshold(g)
     d = g.diameter
     rows = []
-    cap = state_cap
+    cap = None
     for ci, c in enumerate(c_values):
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
             if cap is None:
-                cap = _default_state_cap()
+                cap = _default_state_cap(state_cap)
             report = verify_battery(g, cfg, cap)
             md = report.metadata
             stabilized = md["outcome"] == "stabilized"
@@ -861,7 +861,7 @@ def random_instance_suite(
     p_choices = (0.3, 0.4, 0.5, 0.6, 0.7)
     rows = []
     violations = []
-    cap = state_cap
+    cap = None
     for i in range(count):
         rng = SplitMix64(derive_seed(seed, i))
         kind = kinds[rng.below(len(kinds))]
@@ -875,7 +875,7 @@ def random_instance_suite(
         c = stabilization_threshold(g)
         cfg = random_config(g.n, c, rng.next_u64())
         if cap is None:
-            cap = _default_state_cap()
+            cap = _default_state_cap(state_cap)
         report = verify_battery(g, cfg, cap)
         md = report.metadata
         row = {

@@ -16,7 +16,12 @@ threshold tuple Graph.fire_at (the degree, or math.inf for a degree-0
 vertex) in one C-level pass, so it picks the firing vertices without a
 per-vertex Python test and the degree-0 rule costs nothing per round.
 Only the fired vertices and their neighbours are then touched in Python.
-"""
+
+classify and the checks' record (_record_orbit) read one walk, _walk: a
+visited map up to the first repeated state, past the state cap Brent's
+constant-memory finder.  The record steps a capped walk on to its first
+repeat and copies a cycle's second period; every cap is checked once, in
+_default_state_cap."""
 
 from __future__ import annotations
 
@@ -200,60 +205,34 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     return GameTrace(initial, tuple(rounds), tuple(passes), stop)
 
 
-def _default_state_cap() -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_STATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{STATE_CAP_ENV} must be >= 1")
-    return cap
+def _default_state_cap(state_cap=None, step_cap=None) -> int:
+    """state_cap, else CHIPFIRE_STATE_CAP, else the default, checked before
+    any step: a cap below 1 or a negative step_cap is a ValueError."""
+    if step_cap is not None and step_cap < 0:
+        raise ValueError("step_cap must be >= 0")
+    name = "state_cap"
+    if state_cap is None:
+        raw = os.environ.get(STATE_CAP_ENV)
+        if raw is None:
+            return DEFAULT_STATE_CAP
+        try:
+            state_cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
+        name = STATE_CAP_ENV
+    if state_cap < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return state_cap
 
 
-def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
-    """Exact long-run behavior of the orbit: stabilizes or oscillates.
+def _walk(g: Graph, candy, cap, budget):
+    """Step the orbit of candy once, up to its first repeated state.
 
-    Walks the orbit with a visited map while it fits under state_cap
-    (CHIPFIRE_STATE_CAP overrides the default); past the cap it restarts
-    with constant-memory pointer chasing bounded by step_cap (default
-    64x the state cap).  Either way preperiod and period are exact.
+    Returns (states, fired, preperiod, period, entry): states[t] is the
+    state after t rounds, fired[t - 1] what fired in round t, and entry
+    the state at round preperiod.  Once cap states are mapped the walk
+    stops at round cap and _brent, within budget steps, finds the rest.
     """
-    candy = _coerce(g, init)
-    cap = _default_state_cap() if state_cap is None else state_cap
-    budget = (step_cap if step_cap is not None else _BRENT_BUDGET_FACTOR * cap)
-    adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
-    seen = {candy: 0}
-    x = candy
-    t = 0
-    while True:
-        x, _ = _step_raw(adjacency, degree, fire_at, x)
-        t += 1
-        j = seen.get(x)
-        if j is not None:
-            return _outcome(j, t - j, x)
-        if len(seen) >= cap:
-            break
-        seen[x] = t
-    mu, lam, entry = _brent(g, candy, budget)
-    return _outcome(mu, lam, entry)
-
-
-def _record_orbit(g: Graph, init, state_cap=None):
-    """Walk the orbit once like classify, recording what it steps through.
-
-    Returns (states, fired, preperiod, period): states[t] is the state
-    after t rounds and fired[t - 1] the tuple that fired in round t.  The
-    record runs through the round that detects a fixed point, or through
-    the preperiod plus two periods of a cycle; the second period is copied
-    from the first rather than stepped again.  Past state_cap the visited
-    map gives way to classify's constant-memory finder and step budget,
-    and the record is stepped out to the same length.
-    """
-    candy = _coerce(g, init)
-    cap = _default_state_cap() if state_cap is None else state_cap
     adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     seen = {candy: 0}  # insertion order is orbit order
     fired = []
@@ -261,33 +240,53 @@ def _record_orbit(g: Graph, init, state_cap=None):
     while True:
         x, f = _step_raw(adjacency, degree, fire_at, x)
         fired.append(f)
-        j = seen.get(x)
-        if j is not None:
-            preperiod, period = j, len(fired) - j
-            states = list(seen)
-            states.append(x)
-            if period > 1:
-                states += states[preperiod + 1:]
-                fired += fired[preperiod:]
-            return states, fired, preperiod, period
+        preperiod = seen.get(x)
+        if preperiod is not None:
+            period, entry = len(fired) - preperiod, x
+            break
         if len(seen) >= cap:
+            preperiod, period, entry = _brent(g, candy, budget)
             break
         seen[x] = len(fired)
-    preperiod, period, _ = _brent(g, candy, _BRENT_BUDGET_FACTOR * cap)
-    states = list(seen)
-    states.append(x)
-    rounds = preperiod + (1 if period == 1 else 2 * period)
-    while len(fired) < rounds:
-        x, f = _step_raw(adjacency, degree, fire_at, x)
+    return [*seen, x], fired, preperiod, period, entry
+
+
+def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
+    """Exact long-run behavior of the orbit: stabilizes or oscillates.
+
+    One _walk: a visited map while the orbit fits under state_cap (at
+    least 1; CHIPFIRE_STATE_CAP overrides the default), then constant-memory
+    pointer chasing bounded by step_cap (at least 0, default 64x the state
+    cap).  Either way preperiod and period are exact.
+    """
+    candy = _coerce(g, init)
+    cap = _default_state_cap(state_cap, step_cap)
+    budget = _BRENT_BUDGET_FACTOR * cap if step_cap is None else step_cap
+    _, _, preperiod, period, entry = _walk(g, candy, cap, budget)
+    if period == 1:
+        return Stabilized(stab_round=preperiod, fixed=Configuration.of(entry))
+    return EventuallyPeriodic(preperiod=preperiod, period=period)
+
+
+def _record_orbit(g: Graph, init, state_cap=None):
+    """classify's _walk, completed into the record the checks fold over.
+
+    Returns (states, fired, preperiod, period) as _walk does, through the
+    round that detects a fixed point or through preperiod plus two periods
+    of a cycle: a walk stopped at the cap steps on to its first repeat,
+    then a cycle's second period is copied from the first, not stepped.
+    """
+    candy = _coerce(g, init)
+    cap = _default_state_cap(state_cap)
+    states, fired, preperiod, period, _ = _walk(g, candy, cap, _BRENT_BUDGET_FACTOR * cap)
+    while len(fired) < preperiod + period:  # the walk stopped at the cap
+        x, f = _step_raw(g.adjacency, g.degree, g.fire_at, states[-1])
         states.append(x)
         fired.append(f)
+    if period > 1:
+        states += states[preperiod + 1:]
+        fired += fired[preperiod:]
     return states, fired, preperiod, period
-
-
-def _outcome(preperiod: int, period: int, state) -> Outcome:
-    if period == 1:
-        return Stabilized(stab_round=preperiod, fixed=Configuration.of(state))
-    return EventuallyPeriodic(preperiod=preperiod, period=period)
 
 
 def _brent(g: Graph, start, budget):

@@ -94,7 +94,7 @@ def seq_run(
     degree, adjacency, n = g.degree, g.adjacency, g.n
     candy = list(start)
     deterministic = policy != "random"
-    cap = _default_state_cap() if state_cap is None else state_cap
+    cap = _default_state_cap(state_cap)
     budget = DEFAULT_RANDOM_BUDGET if move_budget is None else move_budget
     seen = {tuple(candy)} if deterministic else None
     if _log is not None:

@@ -25,11 +25,17 @@ def test_verify_corpus_json():
     assert _sha256(text) == CYCLE5_CORPUS
 
 
+CYCLE4_FAILING = "cef92795a93c90e7785490287724b3fa5749effcf0b605ac053561fd30cdb516"
+
+
 def test_verify_corpus_brent_path_json():
-    # a state cap of 1 sends every orbit through the constant-memory finder
-    g = cf.generate("cycle", 5)
-    text = json.dumps(cf.verify_corpus(g, 15, state_cap=1), indent=2)
-    assert _sha256(text) == CYCLE5_CORPUS
+    # a state cap of 1 sends every orbit through the constant-memory finder;
+    # cycle:5 stabilizes, and below the threshold cycle:4's periodic
+    # records are completed past the cap
+    for n, c, digest in ((5, 15, CYCLE5_CORPUS), (4, 4, CYCLE4_FAILING)):
+        g = cf.generate("cycle", n)
+        text = json.dumps(cf.verify_corpus(g, c, state_cap=1), indent=2)
+        assert _sha256(text) == digest
 
 
 def test_verify_corpus_failing_json():
@@ -37,9 +43,7 @@ def test_verify_corpus_failing_json():
     g = cf.generate("cycle", 4)
     report = cf.verify_corpus(g, 4)
     assert report["first_failing_config"] == [0, 0, 0, 4]
-    assert _sha256(json.dumps(report, indent=2)) == (
-        "cef92795a93c90e7785490287724b3fa5749effcf0b605ac053561fd30cdb516"
-    )
+    assert _sha256(json.dumps(report, indent=2)) == CYCLE4_FAILING
 
 
 def test_verify_corpus_sampled_json():

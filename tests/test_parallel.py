@@ -1,11 +1,15 @@
 """The synchronous engine: stepping, traces, orbit classification, CSV."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
+from chipfire import parallel
 from chipfire.errors import ResourceExhausted, SizeMismatch
 from chipfire.parallel import _default_state_cap, _record_orbit
+from chipfire.sequential import seq_run
 
 from conftest import naive_orbit, naive_round, neighbor_map
 
@@ -168,6 +172,65 @@ class TestClassify:
             _default_state_cap()
 
 
+# every entry point that walks an orbit, called with an explicit state cap
+CAPPED_CALLS = {
+    "classify": lambda g, cap: cf.classify(g, [1, 1, 1, 1], state_cap=cap),
+    "verify_battery": lambda g, cap: cf.verify_battery(g, [2, 0, 2, 0], state_cap=cap),
+    "verify_corpus": lambda g, cap: cf.verify_corpus(g, 4, state_cap=cap),
+    "sweep_experiment": lambda g, cap: cf.sweep_experiment(g, [4], 1, 1, state_cap=cap),
+    "random_instance_suite": lambda g, cap: cf.random_instance_suite(1, 1, state_cap=cap),
+    "seq_run": lambda g, cap: seq_run(g, [2, 2, 2, 2], state_cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("entry", list(CAPPED_CALLS))
+def test_state_cap_below_one_is_a_value_error(entry, cap, c4, monkeypatch):
+    # rejected before any step, even where the first step would decide the orbit
+    monkeypatch.setattr(parallel, "_step_raw", None)
+    with pytest.raises(ValueError, match=r"^state_cap must be >= 1$"):
+        CAPPED_CALLS[entry](c4, cap)
+
+
+def test_negative_step_cap_is_a_value_error(c4):
+    with pytest.raises(ValueError, match=r"^step_cap must be >= 0$"):
+        cf.classify(c4, [1, 1, 1, 1], step_cap=-1)
+    # a step cap of 0 is a budget, spent at the first step past the state cap
+    with pytest.raises(ResourceExhausted):
+        cf.classify(c4, [2, 0, 2, 0], state_cap=1, step_cap=0)
+
+
+def _count_steps(monkeypatch):
+    """Count the rounds stepped through parallel's module-global kernel."""
+    calls = [0]
+    kernel = parallel._step_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(parallel, "_step_raw", counted)
+    return calls
+
+
+@pytest.mark.parametrize("walk", [cf.classify, cf.verify_battery], ids=lambda f: f.__name__)
+def test_one_walk_per_configuration(walk, monkeypatch, c3, c4):
+    calls = _count_steps(monkeypatch)
+    walk(c4, [2, 0, 2, 0])  # preperiod 0, period 2: the second period is copied
+    assert calls[0] == 2
+    calls[0] = 0
+    walk(c3, [9, 0, 0])  # stabilizes at round 2, detected in round 3
+    assert calls[0] == 3
+
+
+def test_run_steps_each_recorded_round_once(monkeypatch, c3):
+    calls = _count_steps(monkeypatch)
+    for max_rounds in range(6):
+        calls[0] = 0
+        cf.run(c3, [9, 0, 0], max_rounds)
+        assert calls[0] == min(max_rounds, 3)
+
+
 GRAPH_POOL = [
     cf.generate("cycle", 3),
     cf.generate("cycle", 4),
@@ -221,6 +284,20 @@ class TestAgainstReference:
         g, candy = gc
         forced = cf.classify(g, candy, state_cap=1, step_cap=100_000)
         assert forced == cf.classify(g, candy)
+
+    @given(graph_and_config(max_candy=6))
+    @settings(max_examples=150, deadline=None)
+    def test_record_past_the_cap_matches_the_map(self, gc):
+        # caps below the record's L rounds stop the visited map early, so
+        # the record is completed past _brent; small totals fall below
+        # 4m - n, where periodic orbits exercise the copied second period.
+        # A wide step budget keeps this a correctness test, as above.
+        g, candy = gc
+        full = _record_orbit(g, candy)
+        rounds = len(full[1])
+        with mock.patch.object(parallel, "_BRENT_BUDGET_FACTOR", 100_000):
+            for cap in {1, 2, max(1, rounds // 2), rounds, rounds + 1}:
+                assert _record_orbit(g, candy, cap) == full
 
     @given(graph_and_config())
     @settings(max_examples=100)

@@ -1,7 +1,7 @@
 """Compare two checkouts with the benchmark, in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workload sweep-gnp300 --seeds 21 22 23 24 25 26 27 28 29 30
+        --workload sweep-gnp300 --seeds 21 22 23 24 25 26 27 28 29 30 > BENCH_name.json
 
 For each workload and seed this runs ``<checkout>/bench/run.py`` once in
 each checkout, one process at a time, alternating which side runs first
@@ -9,9 +9,13 @@ each checkout, one process at a time, alternating which side runs first
 on the last line of each run's stdout.  A run that exits non-zero or
 prints no result counts as failed.  It then prints, per workload and
 end-to-end metric, each side's median and quartiles over its runs, how
-many pairs the change won (ties count for neither side), and the summed
-``failed`` and ``attempted`` counts.  Which direction is better comes from
-the parent's ``BENCHMARK.json``.
+many pairs the change won and lost (ties count for neither side), and the
+summed ``failed`` and ``attempted`` counts.  Which direction is better
+comes from the parent's ``BENCHMARK.json``.
+
+The summary is one JSON document on stdout, with the seeds and each
+checkout's ``git rev-parse HEAD`` (null for a checkout without ``.git``),
+so it can be committed as a ``BENCH_<name>.json``; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -40,18 +44,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
         return None
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
+def quartiles(values: list[float]) -> dict | None:
+    if not values:
+        return None
     if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(workload: str, pairs: list[tuple[dict | None, dict | None]], better: dict) -> None:
-    print(f"== {workload}: {len(pairs)} pairs")
+def summarize(pairs: list[tuple[dict | None, dict | None]], better: dict) -> dict:
+    """One workload's summary: per end-to-end metric, each side's median
+    and quartiles and the pairs the change won; per side, the failures."""
+    metrics = {}
     for name, direction in better.items():
-        parent = [p["metrics"][name]["value"] for p, _ in pairs if p]
-        change = [c["metrics"][name]["value"] for _, c in pairs if c]
         wins = losses = 0
         for p, c in pairs:
             if not (p and c):
@@ -61,23 +67,31 @@ def summarize(workload: str, pairs: list[tuple[dict | None, dict | None]], bette
                 change_better = b < a if direction == "lower" else b > a
                 wins += change_better
                 losses += not change_better
-        if not (parent and change):
-            print(f"  {name:<14} no results")
-            continue
-        pq1, pmed, pq3 = quartiles(parent)
-        cq1, cmed, cq3 = quartiles(change)
-        shift = (cmed - pmed) / pmed if pmed else float("nan")
-        print(
-            f"  {name:<14} parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  "
-            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
-            f"{shift:+.1%}  wins {wins}/{wins + losses}  "
-            f"|median gap| {abs(cmed - pmed):.3g} vs parent IQR {pq3 - pq1:.3g}"
-        )
+        parent = quartiles([p["metrics"][name]["value"] for p, _ in pairs if p])
+        change = quartiles([c["metrics"][name]["value"] for _, c in pairs if c])
+        shift = None
+        if parent and change and parent["median"]:
+            shift = (change["median"] - parent["median"]) / parent["median"]
+        metrics[name] = {"better": direction, "parent": parent, "change": change,
+                         "shift": shift, "wins": wins, "losses": losses}
+    sides = {}
     for side, index in (("parent", 0), ("change", 1)):
         runs = [pair[index] for pair in pairs]
-        failed = sum(r["failed"] for r in runs if r) + sum(1 for r in runs if r is None)
-        attempted = sum(r["attempted"] for r in runs if r)
-        print(f"  {side} failed {failed} of {attempted} attempted ({runs.count(None)} runs with no result)")
+        sides[side] = {
+            "failed": sum(r["failed"] for r in runs if r) + runs.count(None),
+            "attempted": sum(r["attempted"] for r in runs if r),
+            "runs_without_result": runs.count(None),
+        }
+    return {"pairs": len(pairs), "metrics": metrics, **sides}
+
+
+def head_commit(checkout: Path) -> str | None:
+    """The checkout's `git rev-parse HEAD`, or None when it has no .git."""
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -91,6 +105,12 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    summary = {
+        "commits": {"parent": head_commit(args.parent), "change": head_commit(args.change)},
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "workloads": {},
+    }
     for workload in args.workload:
         pairs = []
         for i, seed in enumerate(args.seeds):
@@ -102,7 +122,9 @@ def main(argv=None) -> int:
             pairs.append((sides["parent"], sides["change"]))
             print(f"[{workload}] pair {i + 1}/{len(args.seeds)} seed {seed} done",
                   file=sys.stderr, flush=True)
-        summarize(workload, pairs, better)
+        summary["workloads"][workload] = summarize(pairs, better)
+    json.dump(summary, sys.stdout, indent=2)
+    print()
     return 0
 
 
