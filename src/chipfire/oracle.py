@@ -39,54 +39,36 @@ def compositions_count(n: int, c: int) -> int:
     return comb(c + n - 1, n - 1)
 
 
-class CompositionCursor:
-    """Mutable walker over compositions in lexicographic order.
-
-    Tracks its rank so partitioned scans can report where they are.
-    """
-
-    __slots__ = ("n", "c", "current", "rank")
-
-    def __init__(self, n: int, c: int):
-        if n < 1 or c < 0:
-            raise ValueError("need n >= 1 and c >= 0")
-        self.n = n
-        self.c = c
-        self.current = (0,) * (n - 1) + (c,)
-        self.rank = 0
-
-    def advance(self) -> bool:
-        """Move to the next composition; False once exhausted."""
-        x = list(self.current)
-        n = self.n
-        suffix = 0
-        for p in range(n - 2, -1, -1):
-            suffix += x[p + 1]
-            if suffix > 0:
-                x[p] += 1
-                for q in range(p + 1, n - 1):
-                    x[q] = 0
-                x[n - 1] = suffix - 1
-                self.current = tuple(x)
-                self.rank += 1
-                return True
-        return False
-
-
 def enumerate_configs(n: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every composition in lexicographic order.
 
-    Raises ResourceExhausted up front when the count exceeds cap, so a
-    caller never starts a scan it cannot finish.
+    Raises ResourceExhausted on the first next() when the count exceeds
+    cap, so a caller never starts a scan it cannot finish.
     """
     total = compositions_count(n, c)
     if total > cap:
         raise ResourceExhausted(f"{total} compositions exceed the cap of {cap}")
-    cursor = CompositionCursor(n, c)
+    if n == 1:
+        yield (c,)
+        return
+    x = [0] * (n - 1) + [c]
+    last = n - 1
     while True:
-        yield cursor.current
-        if not cursor.advance():
+        yield tuple(x)
+        if x[last]:  # move one candy from the last part to the one before
+            x[last - 1] += 1
+            x[last] -= 1
+            continue
+        # otherwise raise the part before the rightmost nonzero one, whose
+        # value less one becomes the last part
+        q = last - 1
+        while q and not x[q]:
+            q -= 1
+        if not q:
             return
+        x[q - 1] += 1
+        x[last] = x[q] - 1
+        x[q] = 0
 
 
 def _shrink(block: int, top: int, factor: int) -> int:
@@ -241,9 +223,7 @@ def exhaustive_verify(
 
     check is a registered name (see analysis.NAMED_CHECKS) or a callable
     returning None on pass and a detail dict on failure.  Scanning stops
-    at the first failure, which is therefore the minimal-rank one; a
-    partitioned scan can preserve that guarantee by taking the minimum
-    rank over its partitions afterwards.
+    at the first failure, which is therefore the minimal-rank one.
     """
     fn = _resolve_check(check)
     checked = 0

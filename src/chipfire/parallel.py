@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import os
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import ge
 from typing import Sequence, Union
 
@@ -66,19 +67,22 @@ class StopReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """Round t: the ascending tuple of vertices that fired, as _step_raw
+    returns it, and the configuration after the round."""
+
     t: int
-    fired: frozenset[int]
+    fired: tuple[int, ...]
     config: Configuration
 
 
 @dataclass(frozen=True)
 class GameTrace:
-    """Everything a run observed: per-round fired sets, configurations,
-    and cumulative pass counts (how often each vertex has fired by round t)."""
+    """Everything a run observed, each round once: its fired tuple and the
+    configuration after it.  Pass counts (how often each vertex has fired
+    by round t) are derived from the fired tuples by pass_at."""
 
     initial: Configuration
     rounds: tuple[RoundRecord, ...]
-    pass_counts: tuple[tuple[int, ...], ...]
     stop: StopReason
 
     @property
@@ -101,11 +105,21 @@ class GameTrace:
             return None
         return len(self.rounds) - 1
 
+    def _round_index(self, t: int) -> int:
+        if not 0 <= t <= len(self.rounds):
+            raise IndexError(f"round {t} outside 0..{len(self.rounds)}")
+        return t
+
     def config_at(self, t: int) -> Configuration:
-        return self.initial if t == 0 else self.rounds[t - 1].config
+        """The configuration after round t (0 is the start)."""
+        return self.rounds[self._round_index(t) - 1].config if t else self.initial
 
     def pass_at(self, t: int) -> tuple[int, ...]:
-        return (0,) * self.n if t == 0 else self.pass_counts[t - 1]
+        """How often each vertex has fired in rounds 1..t, counted from
+        the fired tuples."""
+        counts = Counter(chain.from_iterable(
+            rec.fired for rec in self.rounds[:self._round_index(t)]))
+        return tuple(map(counts.__getitem__, range(self.n)))
 
     def vertex_stabilization_rounds(self) -> tuple[int, ...]:
         """Per-vertex convenience view: first recorded round after which
@@ -163,11 +177,12 @@ def _step_raw(adjacency, degree, fire_at, conf):
     return tuple(nxt), fired
 
 
-def step(g: Graph, conf) -> tuple[Configuration, frozenset[int]]:
-    """Apply one round; returns the next configuration and who fired."""
+def step(g: Graph, conf) -> tuple[Configuration, tuple[int, ...]]:
+    """Apply one round; returns the next configuration and the ascending
+    tuple of vertices that fired, as _step_raw gives them."""
     candy = _coerce(g, conf)
     nxt, fired = _step_raw(g.adjacency, g.degree, g.fire_at, candy)
-    return Configuration.of(nxt), frozenset(fired)
+    return Configuration.of(nxt), fired
 
 
 def run(g: Graph, init, max_rounds: int) -> GameTrace:
@@ -185,24 +200,19 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     total = initial.total
     cap = _default_state_cap()
     adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
-    cum = [0] * g.n
     rounds: list[RoundRecord] = []
-    passes: list[tuple[int, ...]] = []
     stop = StopReason.BUDGET
     for t in range(1, max_rounds + 1):
         if t > cap:
             raise ResourceExhausted(f"trace would exceed {cap} recorded rounds")
         nxt, fired = _step_raw(adjacency, degree, fire_at, prev)
-        for v in fired:
-            cum[v] += 1
         # a step from the validated start keeps the total and non-negative ints
-        rounds.append(RoundRecord(t, frozenset(fired), Configuration(nxt, total)))
-        passes.append(tuple(cum))
+        rounds.append(RoundRecord(t, fired, Configuration(nxt, total)))
         if nxt == prev:
             stop = StopReason.FIXED_POINT
             break
         prev = nxt
-    return GameTrace(initial, tuple(rounds), tuple(passes), stop)
+    return GameTrace(initial, tuple(rounds), stop)
 
 
 def _default_state_cap(state_cap=None, step_cap=None) -> int:
@@ -346,7 +356,7 @@ def trace_csv(trace: GameTrace) -> str:
         cells = [str(t), str(len(fired)), shown] + [str(c) for c in config.candy]
         return ",".join(cells)
 
-    lines.append(fmt(0, frozenset(), trace.initial))
+    lines.append(fmt(0, (), trace.initial))
     for rec in trace.rounds:
         lines.append(fmt(rec.t, rec.fired, rec.config))
     return "\n".join(lines) + "\n"

@@ -59,10 +59,7 @@ class TestCoreInvariants:
             cf.RoundRecord(t, frozenset(f), cf.Configuration.of(candy))
             for t, (f, candy) in enumerate(steps, 1)
         )
-        passes = tuple((0,) * 10 for _ in rounds)  # not read by the core fold
-        trace = cf.GameTrace(
-            cf.Configuration.of(ones), rounds, passes, cf.StopReason.BUDGET
-        )
+        trace = cf.GameTrace(cf.Configuration.of(ones), rounds, cf.StopReason.BUDGET)
         report = cf.check_core_invariants(g, trace)
         assert [(r.name, r.status, r.counterexample) for r in report.checks] == [
             ("conservation", FAIL, {"round": 2, "observed": 13, "expected": 10}),
@@ -92,17 +89,13 @@ class TestPassCountGaps:
 
 
 def _hand_trace(g, initial, fired_sets):
-    """A trace built by hand: only its fired sets and pass counts are
-    meaningful, every configuration is the initial one."""
+    """A trace built by hand: only its fired sets are meaningful, every
+    configuration is the initial one."""
     initial = cf.Configuration.of(initial)
-    cum = [0] * g.n
-    rounds, passes = [], []
-    for t, fired in enumerate(fired_sets, 1):
-        for v in fired:
-            cum[v] += 1
-        rounds.append(cf.RoundRecord(t, frozenset(fired), initial))
-        passes.append(tuple(cum))
-    return cf.GameTrace(initial, tuple(rounds), tuple(passes), cf.StopReason.BUDGET)
+    rounds = tuple(
+        cf.RoundRecord(t, frozenset(fired), initial) for t, fired in enumerate(fired_sets, 1)
+    )
+    return cf.GameTrace(initial, rounds, cf.StopReason.BUDGET)
 
 
 def _brute_force_gaps(g, trace):

@@ -1,0 +1,46 @@
+"""tools/bench_pairs.py: which code a benchmark summary says it measured."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+def test_dirty_flag_follows_tracked_files(bench_pairs, tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    _git(tmp_path, "add", "a.txt")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    head = bench_pairs.head_commit(tmp_path)
+    assert len(head) == 40
+    assert bench_pairs.is_dirty(tmp_path) is False
+
+    (tmp_path / "untracked.txt").write_text("ignored\n")
+    assert bench_pairs.is_dirty(tmp_path) is False
+
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench_pairs.is_dirty(tmp_path) is True
+    assert bench_pairs.head_commit(tmp_path) == head
+
+
+def test_no_git_gives_null(bench_pairs, tmp_path):
+    assert bench_pairs.head_commit(tmp_path) is None
+    assert bench_pairs.is_dirty(tmp_path) is None

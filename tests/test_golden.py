@@ -9,6 +9,7 @@ import hashlib
 import json
 
 import chipfire as cf
+from chipfire.cli import main
 from conftest import reference_coins
 
 
@@ -72,6 +73,14 @@ def test_trace_csv_fired_list_branch():
     assert len(trace.rounds) == 6733
     assert _sha256(cf.trace_csv(trace)) == (
         "6e5d3d1a9dd95bb04d8d7dcbd7234fa7e8fd9962a43e1ba58e5ab55c557deae1"
+    )
+
+
+def test_simulate_long_path_game_stdout(capsys):
+    # the summary's pass_counts are derived from the trace's fired tuples
+    assert main(["simulate", "path:70", "concentrated:206,0"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "4197abde7e95b5768e9d6bc8f9536eeda713e7e9d9e9601d2d6cc55e60b2607e"
     )
 
 

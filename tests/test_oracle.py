@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire.errors import ResourceExhausted
-from chipfire.oracle import CompositionCursor
 from conftest import reference_unrank
 
 
@@ -50,17 +49,6 @@ class TestEnumeration:
     def test_cap_enforced_before_work(self):
         with pytest.raises(ResourceExhausted):
             list(cf.enumerate_configs(10, 40, cap=1000))
-
-    def test_cursor_rank_tracks_position(self):
-        cur = CompositionCursor(3, 4)
-        k = 0
-        while True:
-            assert cur.rank == k
-            assert cf.rank_composition(cur.current) == k
-            k += 1
-            if not cur.advance():
-                break
-        assert k == cf.compositions_count(3, 4)
 
 
 class TestRanking:

@@ -1,5 +1,7 @@
 """The synchronous engine: stepping, traces, orbit classification, CSV."""
 
+import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -39,7 +41,7 @@ def test_configuration_empty_and_generator_inputs():
 def test_step_hand_example(c3):
     conf, fired = cf.step(c3, [9, 0, 0])
     assert conf.candy == (7, 1, 1)
-    assert fired == frozenset({0})
+    assert fired == (0,)
 
 
 def test_step_size_mismatch(c3):
@@ -50,7 +52,7 @@ def test_step_size_mismatch(c3):
 def test_isolated_vertex_never_fires():
     g = cf.Graph.build(2, [])
     conf, fired = cf.step(g, [5, 0])
-    assert conf.candy == (5, 0) and fired == frozenset()
+    assert conf.candy == (5, 0) and fired == ()
     assert cf.run(g, [5, 0], 1).stop is cf.StopReason.FIXED_POINT
 
 
@@ -94,6 +96,42 @@ class TestRun:
         assert trace.pass_at(0) == (0, 0, 0)
         assert trace.pass_at(2) == (2, 0, 0)
         assert trace.pass_at(3) == (3, 1, 1)
+
+    def test_pass_counts_are_counted_from_the_fired_tuples(self, c4):
+        trace = cf.run(c4, [5, 0, 3, 1], 40)
+        counts = [0] * c4.n
+        for t, rec in enumerate(trace.rounds, 1):
+            assert rec.fired == tuple(sorted(rec.fired))
+            for v in rec.fired:
+                counts[v] += 1
+            assert trace.pass_at(t) == tuple(counts)
+
+    def test_trace_keeps_no_pass_count_column(self):
+        assert [f.name for f in fields(cf.GameTrace)] == ["initial", "rounds", "stop"]
+
+    def test_rounds_outside_the_trace_raise(self, c3):
+        trace = cf.run(c3, [9, 0, 0], 50)  # rounds 0..3
+        for t in (-1, -3, -4, 4):
+            with pytest.raises(IndexError):
+                trace.config_at(t)
+            with pytest.raises(IndexError):
+                trace.pass_at(t)
+        assert trace.config_at(3) == trace.final
+
+    def test_long_game_trace_memory(self):
+        # path:70 at the threshold runs 6 733 rounds; each is held once, as
+        # its fired tuple and configuration (about 1.2 KB), so the trace
+        # stays near 8 MB
+        g = cf.generate("path", 70)
+        c = cf.stabilization_threshold(g)
+        tracemalloc.start()
+        try:
+            trace = cf.run(g, [c] + [0] * (g.n - 1), g.n * g.diameter * c + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rounds) == 6733
+        assert peak < 12_000_000
 
     def test_vertex_stabilization_rounds(self, p3):
         trace = cf.run(p3, [5, 0, 0], 50)

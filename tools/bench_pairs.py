@@ -13,9 +13,11 @@ many pairs the change won and lost (ties count for neither side), and the
 summed ``failed`` and ``attempted`` counts.  Which direction is better
 comes from the parent's ``BENCHMARK.json``.
 
-The summary is one JSON document on stdout, with the seeds and each
-checkout's ``git rev-parse HEAD`` (null for a checkout without ``.git``),
-so it can be committed as a ``BENCH_<name>.json``; progress goes to stderr.
+The summary is one JSON document on stdout, with the seeds, each
+checkout's ``git rev-parse HEAD`` and whether its tracked files differ
+from that commit (``dirty``, from ``git status --porcelain
+--untracked-files=no``; both null for a checkout without ``.git``), so it
+can be committed as a ``BENCH_<name>.json``; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -85,13 +87,26 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], better: dict) -> dic
     return {"pairs": len(pairs), "metrics": metrics, **sides}
 
 
-def head_commit(checkout: Path) -> str | None:
-    """The checkout's `git rev-parse HEAD`, or None when it has no .git."""
+def _git(checkout: Path, *args: str) -> str | None:
+    """The stdout of a git command in the checkout, or None when it has no
+    .git or the command fails."""
     if not (checkout / ".git").exists():
         return None
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def head_commit(checkout: Path) -> str | None:
+    """The checkout's `git rev-parse HEAD`, or None when it has no .git."""
+    out = _git(checkout, "rev-parse", "HEAD")
+    return None if out is None else out.strip()
+
+
+def is_dirty(checkout: Path) -> bool | None:
+    """Whether a tracked file differs from HEAD, so the runs measured code
+    that the recorded commit does not hold; None when it has no .git."""
+    out = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return None if out is None else bool(out.strip())
 
 
 def main(argv=None) -> int:
@@ -107,6 +122,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     summary = {
         "commits": {"parent": head_commit(args.parent), "change": head_commit(args.change)},
+        "dirty": {"parent": is_dirty(args.parent), "change": is_dirty(args.change)},
         "seeds": args.seeds,
         "seconds": args.seconds,
         "workloads": {},
