@@ -4,23 +4,28 @@ A configuration with total c on n vertices is a weak composition of c
 into n parts.  Everything here fixes one enumeration convention
 (ascending lexicographic order on the candy tuples, so (0, 0, c) is
 rank 0 and (c, 0, 0) is the last) and builds counting, enumeration,
-unranking, uniform sampling, and exhaustive verification on top of it.  Counting is
-exact stars-and-bars: C(c + n - 1, n - 1).  Ranking and unranking walk the
-blocks of that order with one binomial per call, then exact updates by
-small integers (C(N - 1, k) = C(N, k) * (N - k) / N within a position,
-C(N - 1, k - 1) = C(N, k) * k / N to the next) instead of one binomial
-per candidate value.  A part larger than _WALK is not walked value by
-value: skipping v values at a position skips
-C(top + 1, k + 1) - C(top + 1 - v, k + 1) compositions (the hockey-stick
-sum of the blocks), so ranking counts it in closed form and unranking
-bisects on that sum.  Either way the cost is O(n) updates plus
-O(n log c) binomials at most, however large c is.
+unranking, uniform sampling, and exhaustive verification on top of it.
+Counting is exact stars-and-bars: C(c + n - 1, n - 1).
+
+Ranking and unranking rest on one count per position.  With r candies
+left for this part and the `later` parts after it, top = r + later, and
+tail(v) = C(top - v, later) compositions have a part of at least v here
+(the hockey-stick sum of the blocks of each value); block = tail(0)
+counts them all.  tail comes from whichever closed form has fewer
+factors: block * perm(top - later, v) // perm(top, v) while v <= later,
+else comb(top - v, later).  Ranking adds block - tail(part) per
+position.  Unranking guesses each part from floats (the tail's
+near-geometric decay for a short part, an integer root for a long one)
+and settles it exactly: the guess v is right when tail(v + 1) < need <=
+tail(v), and otherwise galloping and bisection on tail find the part.
+Either way the cost per part is a few big-integer products and
+quotients, however large c is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, log, log1p, log2, perm
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ResourceExhausted
@@ -29,7 +34,6 @@ from .parallel import Configuration
 from .rng import SplitMix64
 
 DEFAULT_ENUM_CAP = 10_000_000
-_WALK = 1_000  # values a part is walked one by one before the closed form takes over
 
 
 def compositions_count(n: int, c: int) -> int:
@@ -71,21 +75,88 @@ def enumerate_configs(n: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[t
         x[q] = 0
 
 
-def _shrink(block: int, top: int, factor: int) -> int:
-    """C(top - 1, .) from block = C(top, k), exactly.
+def _tail(block: int, top: int, later: int, v: int) -> int:
+    """C(top - v, later): the compositions whose part at this position is
+    at least v, given block = C(top, later), all of them.
 
-    factor = top - k keeps the lower index: C(top - 1, k), the block of
-    the next value at the same position.  factor = k lowers it:
-    C(top - 1, k - 1), the block of value 0 at the next position.  Both
-    products are top times the smaller binomial, so the division is exact.
+    Each closed form costs about as many factors as it has: while
+    v <= later the ratio of two v-factor falling products, exactly
+    divisible because it is a binomial, else comb's later factors."""
+    if v <= later:
+        return block * perm(top - later, v) // perm(top, v)
+    return comb(top - v, later)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1 / k)) for x >= 1, by Newton's method on integers from
+    just above the float root, which is scaled by a power of two so that
+    x may be past the float range."""
+    if k == 1:
+        return x
+    bits = log2(x) / k
+    shift = max(0, int(bits) - 60)
+    y = int(2 ** (bits - shift) * (1 + 2.0**-30) + 1) << shift
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
+
+
+def _guess(need: int, block: int, top: int, later: int) -> int:
+    """An estimate, in 0..top - later, of the largest v with
+    _tail(block, top, later, v) >= need.
+
+    A short part follows from the tail's near-geometric decay, a factor
+    1 - later / top per value, refined once with the factor at the middle
+    of the run.  A longer part leaves M = top - v at the least M with
+    C(M, later) * later! >= need * later!.  That product of later factors
+    is about (M - (later - 1) / 2) ** later, so M is the later-th root x
+    of need * later!, plus (later - 1) / 2, rounded up; the root is taken
+    of 2 ** later times as much, so it is 2x to the nearest half below.
     """
-    return block * factor // top
+    drop = log(need) - log(block)
+    rate = log1p(-later / top)
+    if rate and drop / rate <= later:  # rate is 0.0 only once later / top underflows
+        rate = log1p(-later / (top - min(int(drop / rate), top - later) // 2))
+        return min(int(drop / rate), top - later)
+    return max(top - (_iroot(need * factorial(later) << later, later) + later + 1) // 2, 0)
 
 
-def _skipped(top: int, k: int, v: int) -> int:
-    """Compositions skipped by the first v values at a position whose
-    value-0 block is C(top, k): C(top, k) + ... + C(top - v + 1, k)."""
-    return comb(top + 1, k + 1) - comb(top + 1 - v, k + 1)
+def _settle(need: int, block: int, top: int, later: int, v: int, t: int) -> tuple[int, int, int]:
+    """(w, tail(w), tail(w + 1)) for the largest w with tail(w) >= need,
+    where tail is _tail(block, top, later, .), 1 <= need <= block, and
+    t = tail(v) for a guess v in 0..top - later: galloping from the guess
+    brackets w, and bisection finds it."""
+    # tail(lo) = at_lo >= need > tail(hi) = at_hi, from tail(top - later + 1) = 0
+    lo, hi, at_lo, at_hi = 0, top - later + 1, block, 0
+    step = 1
+    if t >= need:
+        lo, at_lo = v, t
+        while lo + step < hi:
+            t = _tail(block, top, later, lo + step)
+            if t < need:
+                hi, at_hi = lo + step, t
+                break
+            lo, at_lo = lo + step, t
+            step *= 2
+    else:
+        hi, at_hi = v, t
+        while hi - step > lo:
+            t = _tail(block, top, later, hi - step)
+            if t >= need:
+                lo, at_lo = hi - step, t
+                break
+            hi, at_hi = hi - step, t
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = _tail(block, top, later, mid)
+        if t >= need:
+            lo, at_lo = mid, t
+        else:
+            hi, at_hi = mid, t
+    return lo, at_lo, at_hi
 
 
 def rank_composition(comp) -> int:
@@ -99,67 +170,47 @@ def rank_composition(comp) -> int:
     n = len(comp)
     if n < 2:
         return 0
-    # block = C(top, k): the compositions of what is left after the value
-    # under consideration into the k + 1 later parts
-    top, k = sum(comp) + n - 2, n - 2
-    block = comb(top, k)
+    # block = C(top, later): the compositions of what is left into this
+    # part and the later ones; the block - tail(part) with a smaller part
+    # here come first
+    top, later = sum(comp) + n - 1, n - 1
+    block = comb(top, later)
     rank = 0
     for part in comp[:-1]:
-        if part > _WALK:
-            rank += _skipped(top, k, part)
-            top -= part
-            block = comb(top, k)
-        else:
-            for _ in range(part):
-                rank += block
-                block = _shrink(block, top, top - k)
-                top -= 1
-        if k:
-            block = _shrink(block, top, k)
-            top, k = top - 1, k - 1
+        tail = _tail(block, top, later, part)
+        rank += block - tail
+        block = tail * later // (top - part)  # C(top - part - 1, later - 1)
+        top, later = top - part - 1, later - 1
     return rank
 
 
 def unrank_composition(n: int, c: int, rank: int) -> tuple[int, ...]:
     """The rank-th composition of c into n parts, lexicographically.
 
-    Costs one binomial, then exact updates by small integers; a part
-    that passes _WALK values is finished by bisection on _skipped.
+    Costs one binomial, then per part a guessed value checked exactly
+    against two tail counts, which settles almost every part.
     """
     total = compositions_count(n, c)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, {total})")
     out = []
     rem = c
-    # as in rank_composition; the first block follows from total = C(top + 1, k + 1)
-    top, k = c + n - 2, n - 2
-    block = _shrink(total, top + 1, k + 1) if n > 1 else 1
-    for _ in range(n - 1):
-        for v in range(_WALK):
-            if rank < block:
-                break
-            rank -= block
-            block = block * (top - k) // top  # _shrink(block, top, top - k), inlined: once per candy
-            top -= 1
-        else:
-            # the largest s with _skipped(top, k, s) <= rank; s = top - k + 1
-            # would skip every composition left, which is more than rank
-            lo, hi = 0, top - k + 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _skipped(top, k, mid) <= rank:
-                    lo = mid
-                else:
-                    hi = mid
-            rank -= _skipped(top, k, lo)
-            top -= lo
-            v = _WALK + lo
-            block = comb(top, k)
+    # as in rank_composition; need = block - rank counts the compositions
+    # from the rank-th on, so the part is the largest v with tail(v) >= need
+    top, later, block = c + n - 1, n - 1, total
+    while later and rem:
+        need = block - rank
+        v = _guess(need, block, top, later)
+        tail = _tail(block, top, later, v)
+        after = tail * (top - later - v) // (top - v)  # tail(v + 1), one exact factor on
+        if not after < need <= tail:
+            v, tail, after = _settle(need, block, top, later, v, tail)
         out.append(v)
         rem -= v
-        if k:
-            block = _shrink(block, top, k)
-            top, k = top - 1, k - 1
+        rank = tail - need
+        block = tail - after  # C(top - v - 1, later - 1): the compositions with v here
+        top, later = top - v - 1, later - 1
+    out += [0] * later
     out.append(rem)
     return tuple(out)
 

@@ -15,7 +15,10 @@ The round kernel, _step_raw, compares the configuration with the graph's
 threshold tuple Graph.fire_at (the degree, or math.inf for a degree-0
 vertex) in one C-level pass, so it picks the firing vertices without a
 per-vertex Python test and the degree-0 rule costs nothing per round.
-Only the fired vertices and their neighbours are then touched in Python.
+It then updates from the smaller side in Python.  A round where every
+vertex fires changes nothing; when at most a quarter of the vertices do
+not fire, it updates those and their neighbours, and otherwise the fired
+vertices and theirs.
 
 classify and the checks' record (_record_orbit) read one walk, _walk: a
 visited map up to the first repeated state, past the state cap Brent's
@@ -30,7 +33,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import ge
+from operator import ge, lt
 from typing import Sequence, Union
 
 from .errors import ResourceExhausted, SizeMismatch
@@ -163,17 +166,31 @@ def _step_raw(adjacency, degree, fire_at, conf):
 
     fire_at is the graph's Graph.fire_at: vertex v fires when conf[v] >=
     fire_at[v], which is its degree, or math.inf for a degree-0 vertex so
-    that it never fires.  The fired tuple is ascending.  An unchanged
-    configuration is returned as the same tuple when nothing fires.
+    that it never fires.  The fired tuple is ascending.  conf itself comes
+    back when nothing fires, and also when every vertex fires, since then
+    each vertex sends and receives its degree.  When at most a quarter of
+    the vertices do not fire, the round is applied from that side: against
+    conf, which is the round where all fire, each vertex that does not fire
+    keeps its degree and each of its neighbours misses one candy.  Listing
+    those vertices costs a second pass, so that side is taken only when
+    it is clearly the smaller.
     """
-    fired = tuple(compress(range(len(conf)), map(ge, conf, fire_at)))
-    if not fired:
-        return conf, ()
+    n = len(conf)
+    fired = tuple(compress(range(n), map(ge, conf, fire_at)))
+    quiet = n - len(fired)
+    if not fired or not quiet:
+        return conf, fired
     nxt = list(conf)
-    for v in fired:
-        nxt[v] -= degree[v]
-        for u in adjacency[v]:
-            nxt[u] += 1
+    if 4 * quiet <= n:
+        for v in compress(range(n), map(lt, conf, fire_at)):
+            nxt[v] += degree[v]
+            for u in adjacency[v]:
+                nxt[u] -= 1
+    else:
+        for v in fired:
+            nxt[v] -= degree[v]
+            for u in adjacency[v]:
+                nxt[u] += 1
     return tuple(nxt), fired
 
 

@@ -107,7 +107,8 @@ class TestRankingAtScale:
 
 
 class TestLongParts:
-    """Parts longer than the linear walk: closed-form ranking, bisected unranking."""
+    """Long parts and huge totals: the comb form of the tail count, the
+    root guess for a long part, and the exact correction of a guess."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1_001, max_value=2_500), st.data())
@@ -127,7 +128,20 @@ class TestLongParts:
             assert cf.unrank_composition(len(comp), sum(comp), r) == comp
             assert reference_unrank(len(comp), sum(comp), r) == comp
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    @pytest.mark.parametrize("n", [3, 6, 40])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_parts_at_the_closed_form_switch(self, n, shift):
+        # the part at position i has n - 1 - i parts after it; the tail
+        # count switches from the perm ratio to comb just past that many
+        for stride in (1, 2, 3):
+            comp = [2] * n
+            for i in range(0, n - 1, stride):
+                comp[i] = max(n - 1 - i + shift, 0)
+            r = cf.rank_composition(comp)
+            assert reference_unrank(n, sum(comp), r) == tuple(comp)
+            assert cf.unrank_composition(n, sum(comp), r) == tuple(comp)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 100])
     def test_round_trip_at_ten_to_the_thirty(self, n):
         c = 10**30
         total = cf.compositions_count(n, c)
@@ -139,6 +153,12 @@ class TestLongParts:
             assert cf.rank_composition(comp) == r
         assert cf.unrank_composition(n, c, total - 1) == (c,) + (0,) * (n - 1)
         assert cf.unrank_composition(n, c, 1) == (0,) * (n - 2) + (1, c - 1)
+
+    def test_random_config_at_a_million(self):
+        c = 10**6
+        cfg = cf.random_config(50, c, 7)
+        assert cfg.total == c and len(cfg) == 50
+        assert cf.rank_composition(cfg.candy) == cf.SplitMix64(7).below(cf.compositions_count(50, c))
 
     def test_random_config_at_ten_to_the_thirty(self):
         cfg = cf.random_config(3, 10**30, 0)

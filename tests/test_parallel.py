@@ -377,6 +377,69 @@ def test_kernel_matches_reference_with_isolated_vertices(gc):
         assert all(g.degree[v] for v in f)
 
 
+# graphs for both sides of the round kernel; the last two have degree-0 vertices
+KERNEL_GRAPHS = {
+    "cycle4": cf.generate("cycle", 4),
+    "complete4": cf.generate("complete", 4),
+    "gnp12": cf.generate("random_connected", 12, p=0.4, seed=3),
+    "path7+isolated": cf.Graph.build(8, [(v, v + 1) for v in range(6)] + [(0, 6)]),
+    "ring10+2isolated": cf.Graph.build(12, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)]),
+}
+
+
+def _isolated(g):
+    return [v for v in range(g.n) if not g.degree[v]]
+
+
+def _kernel_state(g, quiet, seed):
+    """Piles on g, from 0 up to about 10**30, under which exactly the
+    vertices in quiet do not fire."""
+    rng = cf.SplitMix64(seed)
+    candy = []
+    for v, d in enumerate(g.degree):
+        pile = rng.below(10**30) if rng.below(2) else rng.below(5)
+        candy.append((rng.below(d) if d else pile) if v in quiet else d + pile)
+    return tuple(candy)
+
+
+def _assert_kernel_matches(g, candy):
+    nxt, fired = parallel._step_raw(g.adjacency, g.degree, g.fire_at, candy)
+    ref, ref_fired = naive_round(neighbor_map(g), list(candy))
+    assert list(nxt) == ref and fired == tuple(sorted(ref_fired))
+    return nxt, fired
+
+
+class TestKernelSides:
+    """The round kernel against the reference round when every vertex
+    fires, all but one, or all but exactly a quarter.  A degree-0 vertex
+    never fires, so it is always among those that do not."""
+
+    @pytest.mark.parametrize("name", [k for k, g in KERNEL_GRAPHS.items() if not _isolated(g)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_vertex_fires(self, name, seed):
+        g = KERNEL_GRAPHS[name]
+        candy = _kernel_state(g, (), seed)
+        nxt, fired = _assert_kernel_matches(g, candy)
+        assert nxt is candy and len(fired) == g.n
+
+    @pytest.mark.parametrize("name", [k for k, g in KERNEL_GRAPHS.items() if len(_isolated(g)) < 2])
+    def test_all_but_one_fire(self, name):
+        g = KERNEL_GRAPHS[name]
+        for v in _isolated(g) or range(g.n):
+            _assert_kernel_matches(g, _kernel_state(g, {v}, v))
+
+    @pytest.mark.parametrize("name", [k for k, g in KERNEL_GRAPHS.items() if g.n % 4 == 0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_quarter_do_not_fire(self, name, seed):
+        g = KERNEL_GRAPHS[name]
+        quiet = set(_isolated(g))
+        rng = cf.SplitMix64(seed)
+        others = [v for v in range(g.n) if v not in quiet]
+        while len(quiet) < g.n // 4:
+            quiet.add(others.pop(rng.below(len(others))))
+        _assert_kernel_matches(g, _kernel_state(g, quiet, seed))
+
+
 @given(
     st.integers(min_value=1, max_value=10),
     st.integers(min_value=0, max_value=2**64 - 1),
