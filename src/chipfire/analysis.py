@@ -43,8 +43,9 @@ recorded ones repeat the final state exactly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, ge, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -194,7 +195,9 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
             f = fired[t - 1]
             for v in f:
                 if cur[v] > prev[v]:
-                    # f may be a frozenset: report the lowest vertex that gained
+                    # check_core_invariants takes any GameTrace, and a hand-built
+                    # one may hold frozensets, whose iteration order is not
+                    # ascending: report the lowest vertex that gained
                     v = min(u for u in f if cur[u] > prev[u])
                     no_gain = CheckResult(
                         "no_gain",
@@ -222,28 +225,37 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
 
 
 def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """Cumulative fire-count gaps, accumulated round by round.
+    """Cumulative fire-count gaps, read only at rounds that can fail.
 
     Along a shortest path a pair's gap is at most the sum of its edge
     gaps, so no pair exceeds dist * c in a round where every edge is
     within c; and an edge is itself a pair at distance 1.  Both checks
     therefore first fail in the same round, the first whose largest edge
     gap exceeds c, and the all-pairs scan runs only there: pairs in
-    combinations order, with one BFS per source row it reaches.  Each
-    round's largest edge gap is one C-level max; the first edge over c is
-    looked up only in the failing round.  A vertex fires at most once a
-    round, so no two counts differ by more than t after round t: rounds
-    up to c cannot fail, and a record no longer than c is not read.
+    combinations order, with one BFS per source row it reaches.
+
+    A vertex fires at most once a round, so no edge gap grows by more
+    than 1 a round.  Rounds up to c cannot fail, and a record no longer
+    than c is not read.  Otherwise the fold jumps between checkpoints:
+    the first is round c + 1, and after a checkpoint t whose largest edge
+    gap is G <= c no edge can exceed c before round t + c - G + 1, the
+    next one.  The pass counts are advanced over the skipped rounds with
+    one C-level count and the largest edge gap is one C-level max, so a
+    checkpoint that exceeds c does so by exactly 1 and is the first
+    failing round; the first edge over c is looked up only there.
     """
     if len(fired) <= c:
         return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
     us, ws = g.edge_ends
-    cum = [0] * g.n
+    cum = Counter(dict.fromkeys(range(g.n), 0))
     count = cum.__getitem__
-    for t, f in enumerate(fired, 1):
-        for v in f:
-            cum[v] += 1
-        if t > c and max(map(abs, map(sub, map(count, us), map(count, ws)))) > c:
+    rounds = iter(fired)
+    t, nxt = 0, c + 1
+    while nxt <= len(fired):
+        cum.update(chain.from_iterable(islice(rounds, nxt - t)))
+        t = nxt
+        gap = max(map(abs, map(sub, map(count, us), map(count, ws))))
+        if gap > c:
             eu, ew = next((u, w) for u, w in g.edges if abs(cum[u] - cum[w]) > c)
             u, w, bound = next(
                 (u, w, dist[w] * c)
@@ -274,6 +286,7 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
                     },
                 ),
             ], {}
+        nxt = t + c - gap + 1
     return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
 
 

@@ -24,7 +24,10 @@ classify and the checks' record (_record_orbit) read one walk, _walk: a
 visited map up to the first repeated state, past the state cap Brent's
 constant-memory finder.  The record steps a capped walk on to its first
 repeat and copies a cycle's second period; every cap is checked once, in
-_default_state_cap."""
+_default_state_cap.
+
+trace_csv formats each distinct vertex index and candy value of a trace
+once, into a string table its rows are joined from."""
 
 from __future__ import annotations
 
@@ -353,27 +356,25 @@ def trace_csv(trace: GameTrace) -> str:
     """Delimited trace: one row per round plus a t=0 row for the start.
 
     For n <= 64 the fired set is a hex bitmask (bit v set when v fired);
-    larger graphs get a semicolon-joined index list instead.
+    larger graphs get a semicolon-joined index list instead.  Each
+    distinct vertex index and candy value is formatted once, into a table
+    the rows are joined from.
     """
     n = trace.n
     use_mask = n <= 64
     fired_col = "fired_bitmask_hex" if use_mask else "fired_list"
     header = ["t", "fired_count", fired_col] + [f"candy_{v}" for v in range(n)]
+    values = set(range(n + 1)).union(
+        trace.initial.candy, *[rec.config.candy for rec in trace.rounds])
+    shown = dict(zip(values, map(str, values))).__getitem__
+    bit = [1 << v for v in range(n)].__getitem__
     lines = [",".join(header)]
-
-    def fmt(t, fired, config):
+    rows = chain([(0, (), trace.initial.candy)],
+                 ((rec.t, rec.fired, rec.config.candy) for rec in trace.rounds))
+    for t, fired, candy in rows:
         if use_mask:
-            mask = 0
-            for v in fired:
-                mask |= 1 << v
-            shown = hex(mask)
+            column = hex(sum(map(bit, fired)))
         else:
-            shown = ";".join([str(v) for v in sorted(fired)])
-        # on CPython 3.11 str(x) in a comprehension is a specialized call, faster than map(str, ...)
-        cells = [str(t), str(len(fired)), shown] + [str(c) for c in config.candy]
-        return ",".join(cells)
-
-    lines.append(fmt(0, (), trace.initial))
-    for rec in trace.rounds:
-        lines.append(fmt(rec.t, rec.fired, rec.config))
+            column = ";".join(map(shown, sorted(fired)))
+        lines.append(",".join([str(t), shown(len(fired)), column, *map(shown, candy)]))
     return "\n".join(lines) + "\n"

@@ -173,6 +173,96 @@ class TestPairwiseShortcut:
             assert _gap_counterexamples(g, trace) == _brute_force_gaps(g, trace), i
 
 
+class TestGapCheckpoints:
+    """The gap fold reads the pass counts only at checkpoints: round c + 1,
+    then t + c - G + 1 after a checkpoint t whose largest edge gap is G.
+
+    No edge gap grows by more than 1 a round, so no round between two
+    checkpoints can fail.  Each hand trace here is checked against the
+    brute-force scan of every round and every pair.
+    """
+
+    @staticmethod
+    def _found(g, c, fired_sets):
+        trace = _hand_trace(g, [c] + [0] * (g.n - 1), fired_sets)
+        found = _gap_counterexamples(g, trace)
+        assert found == _brute_force_gaps(g, trace)
+        return found
+
+    def test_climb_from_a_plateau(self, p3):
+        # vertex 0 fires alone for `lead` rounds, everyone for `plateau`
+        # rounds (the gap of edge (0, 1) stays at lead, and checkpoints
+        # come every c - lead + 1 rounds), then vertex 0 alone again: the
+        # gap climbs by one a round and first exceeds c at round
+        # plateau + c + 1, whichever checkpoint offset the climb starts at
+        for c in range(3, 9):
+            for lead in (0, 1, c - 2, c - 1):
+                for plateau in range(16, 16 + c - lead + 1):
+                    fired = [{0}] * lead + [{0, 1, 2}] * plateau + [{0}] * (c + 4 - lead)
+                    assert 20 <= len(fired) <= 120
+                    failure = {"round": plateau + c + 1, "pair": [0, 1],
+                               "observed": c + 1, "bound": c}
+                    assert self._found(p3, c, fired) == (failure, failure), (c, lead, plateau)
+
+    def test_gap_held_at_c_checks_every_round(self, p4):
+        # edge (0, 1) sits at exactly c from round c on, so every round is a
+        # checkpoint; a dip to c - 1 and back, then one more round of
+        # vertex 0 alone, fails only in the very last round
+        for c in range(3, 9):
+            held = [{0}] * c + [{0, 1, 2, 3}] * 40 + [{1, 2, 3}, {0}] + [{0, 1, 2, 3}] * 30
+            assert self._found(p4, c, held) == (None, None)
+            failure = {"round": len(held) + 1, "pair": [0, 1], "observed": c + 1, "bound": c}
+            assert self._found(p4, c, held + [{0}]) == (failure, failure)
+
+    def test_random_long_traces_match_brute_force(self):
+        # each vertex fires with its own probability, so edge gaps drift;
+        # some rounds fire everyone, which holds every gap where it is
+        rng = cf.SplitMix64(715)
+        outcomes = set()
+        for i in range(120):
+            n = 3 + rng.below(5)
+            g = cf.generate("random_connected", n, p=0.5, seed=rng.next_u64())
+            c = 3 + rng.below(6)
+            odds = [0.3 + 0.7 * rng.below(8) / 7 for _ in range(n)]
+            fired = [set(range(n)) if rng.chance(0.3)
+                     else {v for v in range(n) if rng.chance(odds[v])}
+                     for _ in range(20 + rng.below(101))]
+            outcomes.add(self._found(g, c, fired) == (None, None))
+        assert outcomes == {True, False}
+
+    def test_path70_threshold_game(self):
+        g = cf.generate("path", 70)
+        c = cf.stabilization_threshold(g)
+        init = [c] + [0] * (g.n - 1)
+        report = cf.verify_battery(g, init)
+        rows = [report.get(name) for name in ("adjacent_pass_gap", "pairwise_pass_gap")]
+        assert [(r.status, r.counterexample, r.detail) for r in rows] == [(PASS, None, "")] * 2
+        trace = cf.run(g, init, g.n * g.diameter * c + 1)
+        assert len(trace.rounds) == 6733
+        assert _gap_counterexamples(g, trace) == (None, None)
+        # the same 6 733 fired tuples against smaller bounds, with the first
+        # failing round and edge found from running counts round by round
+        counts = [0] * g.n
+        widest = []
+        for rec in trace.rounds:
+            for v in rec.fired:
+                counts[v] += 1
+            widest.append(max(abs(counts[u] - counts[w]) for u, w in g.edges))
+        assert max(widest) == 137
+        fired = [rec.fired for rec in trace.rounds]
+        for bound in (3, 20, 50, 100, 136):
+            t = next(t for t, gap in enumerate(widest, 1) if gap > bound)
+            p = _hand_trace(g, init, fired[:t]).pass_at(t)
+            edge = next([u, w] for u, w in g.edges if abs(p[u] - p[w]) > bound)
+            pair = next([u, w] for u in range(g.n) for w in range(u + 1, g.n)
+                        if abs(p[u] - p[w]) > (w - u) * bound)
+            adjacent, pairwise = _gap_counterexamples(
+                g, _hand_trace(g, [bound] + [0] * (g.n - 1), fired))
+            assert adjacent == {"round": t, "pair": edge, "observed": bound + 1,
+                                "bound": bound}
+            assert pairwise["round"] == t and pairwise["pair"] == pair
+
+
 class TestAlwaysFiring:
     def test_above_threshold(self, c3):
         trace = cf.run(c3, [9, 0, 0], 50)

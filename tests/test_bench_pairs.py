@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: which code a benchmark summary says it measured."""
+"""tools/bench_pairs.py: its arguments, failed runs, and which code a benchmark
+summary says it measured."""
 
 import importlib.util
 import subprocess
@@ -44,3 +45,25 @@ def test_dirty_flag_follows_tracked_files(bench_pairs, tmp_path):
 def test_no_git_gives_null(bench_pairs, tmp_path):
     assert bench_pairs.head_commit(tmp_path) is None
     assert bench_pairs.is_dirty(tmp_path) is None
+
+
+def test_workload_flag_takes_several_names(bench_pairs):
+    sides = ["--parent", "p", "--change", "c", "--seeds", "1", "2"]
+    args = bench_pairs.parse_args(sides + ["--workload", "exhaustive-cycle6", "sweep-gnp300"])
+    assert args.workload == ["exhaustive-cycle6", "sweep-gnp300"]
+    assert args.seeds == [1, 2]
+    args = bench_pairs.parse_args(["--workload", "a", "--workload", "b", "c"] + sides)
+    assert args.workload == ["a", "b", "c"]
+
+
+def test_run_without_result_shows_its_stderr(bench_pairs, tmp_path, capsys):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "print('\\n'.join(f'line {i}' for i in range(30)), file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    assert bench_pairs.run_once(tmp_path, "probe-cycle6", 7, 1.0) is None
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"[probe-cycle6] {tmp_path} seed 7: no result (exit 3)"
+    assert err[1:] == [f"  line {i}" for i in range(20, 30)]

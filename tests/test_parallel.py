@@ -476,3 +476,76 @@ def test_trace_csv_wide_graph_uses_list_column():
     assert "fired_list" in header and "bitmask" not in header
     # vertex 0 fires alone in round 1
     assert text.splitlines()[2].split(",")[2] == "0"
+
+
+def _reference_trace_csv(trace):
+    """trace_csv as a plain formatter: str of every cell, one cell at a time."""
+    n = trace.n
+    use_mask = n <= 64
+    header = ["t", "fired_count", "fired_bitmask_hex" if use_mask else "fired_list"]
+    lines = [",".join(header + [f"candy_{v}" for v in range(n)])]
+    rows = [(0, (), trace.initial)] + [(r.t, r.fired, r.config) for r in trace.rounds]
+    for t, fired, config in rows:
+        if use_mask:
+            mask = 0
+            for v in fired:
+                mask |= 1 << v
+            shown = hex(mask)
+        else:
+            shown = ";".join([str(v) for v in sorted(fired)])
+        lines.append(",".join([str(t), str(len(fired)), shown] + [str(c) for c in config.candy]))
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceCsvTable:
+    """trace_csv formats each distinct number once; the bytes are those of
+    a per-cell formatter on every shape of trace."""
+
+    def test_single_vertex(self):
+        g = cf.Graph.build(1, [])
+        trace = cf.run(g, [5], 3)
+        assert cf.trace_csv(trace) == _reference_trace_csv(trace) == (
+            "t,fired_count,fired_bitmask_hex,candy_0\n0,0,0x0,5\n1,0,0x0,5\n"
+        )
+
+    def test_zero_rounds(self, c4):
+        trace = cf.run(c4, [3, 0, 2, 1], 0)
+        assert trace.rounds == ()
+        assert cf.trace_csv(trace) == _reference_trace_csv(trace) == (
+            "t,fired_count,fired_bitmask_hex,candy_0,candy_1,candy_2,candy_3\n"
+            "0,0,0x0,3,0,2,1\n"
+        )
+
+    def test_huge_piles(self):
+        g = cf.generate("star", 5)
+        big = 10**30
+        trace = cf.run(g, [big, 7, big + 1, 0, 3], 12)
+        text = cf.trace_csv(trace)
+        assert text == _reference_trace_csv(trace)
+        assert text.splitlines()[1] == f"0,0,0x0,{big},7,{big + 1},0,3"
+
+    def test_wide_hand_trace_with_frozensets(self):
+        # n > 64 and fired sets whose iteration order is not ascending
+        n = 80
+        candy = [10**30 - v for v in range(n)]
+        fired = [frozenset({70, 3, 64, 9, 79}), frozenset(), frozenset(range(n)),
+                 frozenset({33, 1})]
+        assert list(fired[0]) != sorted(fired[0])
+        rounds = tuple(
+            cf.RoundRecord(t, f, cf.Configuration.of(candy[t:] + candy[:t]))
+            for t, f in enumerate(fired, 1)
+        )
+        trace = cf.GameTrace(cf.Configuration.of(candy), rounds, cf.StopReason.BUDGET)
+        text = cf.trace_csv(trace)
+        assert text == _reference_trace_csv(trace)
+        assert [line.split(",")[2] for line in text.splitlines()[1:4]] == [
+            "", "3;9;64;70;79", "",
+        ]
+
+    @pytest.mark.parametrize("spec", ["cycle:6", "path:64", "complete:5", "star:9"])
+    def test_narrow_games(self, spec):
+        kind, size = spec.split(":")
+        g = cf.generate(kind, int(size))
+        c = cf.stabilization_threshold(g)
+        trace = cf.run(g, cf.random_config(g.n, c, 11), g.n * g.diameter * c + 1)
+        assert cf.trace_csv(trace) == _reference_trace_csv(trace)

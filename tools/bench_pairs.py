@@ -1,16 +1,17 @@
 """Compare two checkouts with the benchmark, in alternating pairs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workload sweep-gnp300 --seeds 21 22 23 24 25 26 27 28 29 30 > BENCH_name.json
+        --workload sweep-gnp300 probe-cycle6 --seeds 21 22 23 24 25 > BENCH_name.json
 
 For each workload and seed this runs ``<checkout>/bench/run.py`` once in
 each checkout, one process at a time, alternating which side runs first
 (pair i starts with the parent when i is even), and reads the JSON object
 on the last line of each run's stdout.  A run that exits non-zero or
-prints no result counts as failed.  It then prints, per workload and
-end-to-end metric, each side's median and quartiles over its runs, how
-many pairs the change won and lost (ties count for neither side), and the
-summed ``failed`` and ``attempted`` counts.  Which direction is better
+prints no result counts as failed, and the last lines of its stderr are
+shown with the progress.  It then prints, per workload and end-to-end
+metric, each side's median and quartiles over its runs, how many pairs
+the change won and lost (ties count for neither side), and the summed
+``failed`` and ``attempted`` counts.  Which direction is better
 comes from the parent's ``BENCHMARK.json``.
 
 The summary is one JSON document on stdout, with the seeds, each
@@ -30,20 +31,29 @@ from pathlib import Path
 from statistics import quantiles
 
 
+STDERR_TAIL = 10  # lines of a failed run's stderr shown with the progress
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The run's result object, or None when it gave none."""
+    """The run's result object, or None when it gave none; then the last
+    lines of its stderr go to the progress channel."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return None
-    try:
-        return json.loads(lines[-1])
-    except json.JSONDecodeError:
-        return None
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    if result is None:
+        tail = proc.stderr.strip().splitlines()[-STDERR_TAIL:]
+        print(f"[{workload}] {checkout} seed {seed}: no result (exit {proc.returncode})",
+              *tail, sep="\n  ", file=sys.stderr, flush=True)
+    return result
 
 
 def quartiles(values: list[float]) -> dict | None:
@@ -109,14 +119,19 @@ def is_dirty(checkout: Path) -> bool | None:
     return None if out is None else bool(out.strip())
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--workload", action="extend", nargs="+", required=True,
+                        help="one or more names; the flag may repeat")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=24.0)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
