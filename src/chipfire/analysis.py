@@ -23,14 +23,20 @@ the battery, the named checks and the public check_* functions are all
 read off it.  The public checks on a GameTrace feed the same folds from
 the trace.
 
-A corpus scan pays per configuration only for its walk and its folds.
-The per-graph constants the folds read (the abundance bars 2 * deg, the
+The folds return verdict rows and the values they found, nothing more: a
+passing row is one shared immutable CheckResult (_PASSED), and a failing
+row carries its counterexample.  Only a returned report carries details
+and metadata: _report adds the pass details (the always-firing witness,
+the stab_round within its bound) from the found values, and
+verify_battery adds its metadata, abundance counts included.  A corpus
+scan reads the battery's rows (_battery_rows) without building a report,
+so it pays per configuration only for its walk and its folds.  The
+per-graph constants the folds read (the abundance bars 2 * deg, the
 short bars 2 * deg - 2, the edge endpoints as two columns) are cached on
-the Graph (twice_degree, short_bar, edge_ends).  A row that passes with
-no detail is one shared immutable CheckResult (_PASSED).  The corpus
-drivers resolve the state cap once per scan, after the first
-configuration is drawn so that an enumeration or sampling error comes
-first, and an exhaustive scan hands each composition to the battery as
+the Graph (twice_degree, short_bar, edge_ends).  The corpus drivers
+resolve the state cap once per scan, after the first configuration is
+drawn so that an enumeration or sampling error comes first, and an
+exhaustive scan hands each composition to the battery as
 Configuration(comp, c), valid by construction.
 
 Checks report pass / fail / not_applicable; not_applicable means the
@@ -114,8 +120,8 @@ class CheckResult:
     detail: str = ""
 
 
-# A row that passes with no detail is the same immutable instance every
-# time, so a corpus scan does not build one per row per configuration.
+# A fold's passing row is the same immutable instance every time, so a
+# corpus scan does not build one per row per configuration.
 _PASSED = {name: CheckResult(name, PASS) for name in CHECK_ORDER}
 _status = attrgetter("status")
 
@@ -177,7 +183,7 @@ def _abundant_count(candy: Sequence[int], twice: Sequence[int]) -> int:
 # check families: folds over an orbit's states (states[t] after t rounds)
 # and fired sets (fired[t - 1] fired in round t), with stab the round the
 # orbit reached its fixed point (None if it never did); each returns its
-# rows and the metadata it found
+# verdict rows (every pass the shared _PASSED row) and the values it found
 
 
 def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
@@ -291,7 +297,8 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
 
 
 def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """The three above-threshold firing guarantees, and the witness vertex.
+    """The three above-threshold firing guarantees, and the witness vertex
+    (the least vertex that fired in every round, None if there is none).
 
     The first two are C-level passes over the fired sets; the round where
     one first fails is looked up only when it fails.
@@ -303,7 +310,7 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
     common = set(range(g.n)).intersection(*fired)
     if common:
         witness = min(common)
-        always = CheckResult("always_firing", PASS, detail=f"witness vertex {witness}")
+        always = _PASSED["always_firing"]
     else:
         witness = None
         common = set(range(g.n))
@@ -351,9 +358,7 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
             CheckResult("stabilized_within_bound", FAIL, fail),
             CheckResult("idle_gap", FAIL, fail),
         ], meta
-    within = CheckResult(
-        "stabilized_within_bound", PASS, detail=f"stab_round {stab} <= {bound}"
-    )
+    within = _PASSED["stabilized_within_bound"]
     if stab <= gap_bound:
         return [within, _PASSED["idle_gap"]], meta
     # longest run of idle rounds per vertex within rounds 1..stab, in one pass
@@ -394,6 +399,21 @@ def _fold(
     return globals()[family.fold](g, c, states, fired, stab)
 
 
+def _report(rows: Iterable[CheckResult], found: dict, metadata: dict) -> VerificationReport:
+    """A returned report: the verdict rows, with the pass details the folds
+    leave out built from the values they found, and the metadata."""
+    checks = []
+    for row in rows:
+        if row.status == PASS and row.name == "always_firing":
+            witness = found["always_firing_witness"]
+            row = CheckResult(row.name, PASS, detail=f"witness vertex {witness}")
+        elif row.status == PASS and row.name == "stabilized_within_bound":
+            detail = f"stab_round {found['stab_round']} <= {found['bound']}"
+            row = CheckResult(row.name, PASS, detail=detail)
+        checks.append(row)
+    return VerificationReport(tuple(checks), metadata)
+
+
 # ---------------------------------------------------------------------------
 # public per-claim checks
 
@@ -406,7 +426,7 @@ def _trace_report(name: str, g: Graph, trace: GameTrace, meta: dict) -> Verifica
     states = [trace.initial.candy] + [rec.config.candy for rec in trace.rounds]
     fired = [rec.fired for rec in trace.rounds]
     rows, found = _fold(name, g, c, stabilization_threshold(g), states, fired)
-    return VerificationReport(tuple(rows), {**meta, **found})
+    return _report(rows, found, {**meta, **found})
 
 
 def check_core_invariants(g: Graph, trace: GameTrace) -> VerificationReport:
@@ -450,38 +470,34 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
     # below the threshold the rows are not_applicable and the game is not walked
     record = _record_orbit(g, initial) if c >= threshold else ((), ())
     rows, found = _fold("bound", g, c, threshold, *record)
-    return VerificationReport(tuple(rows), {**meta, **found})
+    return _report(rows, found, {**meta, **found})
 
 
 # ---------------------------------------------------------------------------
 # the full battery: one walk of the orbit, every check folded over it
 
 
-def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
-    """Classify one configuration exactly and run every check on its orbit.
+def _battery_rows(g: Graph, initial: Configuration, threshold: int, state_cap=None):
+    """The battery's verdict rows on one orbit of a gated graph, in CHECK_ORDER.
 
-    The orbit is walked once.  Its record is the whole game for
-    stabilizing configurations and preperiod + two full periods for
-    oscillating ones, which exercises every reachable state of the orbit.
-    state_cap bounds the walk's visited map as it bounds classify's.
+    Returns (rows, found, states, preperiod, period, rounds): the rows,
+    every pass the shared _PASSED row and every failure with its
+    counterexample; the values the folds found; and the record's states,
+    preperiod, period and number of rounds.  A corpus scan reads the rows
+    alone; verify_battery builds a report from the rest.
     """
-    _gate(g)
-    initial = config if isinstance(config, Configuration) else Configuration.of(config)
     c = initial.total
-    d = g.diameter
-    threshold = stabilization_threshold(g)
     states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
-    stabilized = period == 1
-    checks, found = [], {}
+    rows, found = [], {}
     for name in _FAMILIES:
-        rows, meta = _fold(name, g, c, threshold, states, fired, preperiod, period)
-        checks += rows
+        family_rows, meta = _fold(name, g, c, threshold, states, fired, preperiod, period)
+        rows += family_rows
         found.update(meta)
-    if stabilized:
-        checks.append(_PASSED["stabilizes"])
+    if period == 1:
+        rows.append(_PASSED["stabilizes"])
     else:
         cycle_min = min(states[preperiod:preperiod + period])
-        checks.append(
+        rows.append(
             CheckResult(
                 "stabilizes",
                 FAIL,
@@ -493,9 +509,30 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
                 },
             )
         )
+    return rows, found, states, preperiod, period, len(fired)
+
+
+def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
+    """Classify one configuration exactly and run every check on its orbit.
+
+    The orbit is walked once.  Its record is the whole game for
+    stabilizing configurations and preperiod + two full periods for
+    oscillating ones, which exercises every reachable state of the orbit.
+    state_cap bounds the walk's visited map as it bounds classify's.  The
+    folds return verdict rows; only this returned report carries the pass
+    details and the metadata, so a corpus scan, which reads the rows
+    alone, does not build them.
+    """
+    _gate(g)
+    initial = config if isinstance(config, Configuration) else Configuration.of(config)
+    threshold = stabilization_threshold(g)
+    rows, found, states, preperiod, period, rounds = _battery_rows(
+        g, initial, threshold, state_cap
+    )
+    stabilized = period == 1
     metadata = {
-        "graph": {"n": g.n, "m": g.m, "diameter": d, "connected": g.connected},
-        "c": c,
+        "graph": {"n": g.n, "m": g.m, "diameter": g.diameter, "connected": g.connected},
+        "c": initial.total,
         "threshold": threshold,
         "bound": found.get("bound"),
         "gap_bound": found.get("gap_bound"),
@@ -507,10 +544,10 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
         "always_firing_witness": found.get("always_firing_witness"),
         "abundant_start": _abundant_count(initial.candy, g.twice_degree),
         "abundant_end": _abundant_count(states[-1], g.twice_degree),
-        "rounds_recorded": len(fired),
+        "rounds_recorded": rounds,
         "finite_check_note": FINITE_CHECK_NOTE,
     }
-    return VerificationReport(tuple(checks), metadata)
+    return _report(rows, found, metadata)
 
 
 def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int):
@@ -566,8 +603,9 @@ def _named_family(name: str):
 
 
 def _named_battery(g: Graph, comp) -> Optional[dict]:
-    report = verify_battery(g, comp)
-    return _first_failure(report.checks)
+    _gate(g)
+    initial = comp if isinstance(comp, Configuration) else Configuration.of(comp)
+    return _first_failure(_battery_rows(g, initial, stabilization_threshold(g))[0])
 
 
 def _first_failure(checks: Iterable[CheckResult]) -> Optional[dict]:
@@ -604,7 +642,9 @@ def verify_corpus(
 
     mode "exhaustive" scans every composition in lexicographic order and
     stops at the first failing configuration (hence reports the minimal
-    one); mode "sampled" draws `trials` seeded configurations.
+    one); mode "sampled" draws `trials` seeded configurations.  Each
+    configuration's verdict rows are read directly, with no report built:
+    a failing row already carries its counterexample.
     """
     _gate(g)
     threshold = stabilization_threshold(g)
@@ -628,9 +668,9 @@ def verify_corpus(
         # resolved after the first configuration, so enumeration errors come first
         if cap is None:
             cap = _default_state_cap(state_cap)
-        report = verify_battery(g, config, cap)
+        rows = _battery_rows(g, config, threshold, cap)[0]
         checked += 1
-        statuses = tuple(map(_status, report.checks))
+        statuses = tuple(map(_status, rows))
         columns.add(statuses)
         if FAIL in statuses:
             failing_config = list(config.candy)
@@ -642,7 +682,7 @@ def verify_corpus(
         agg.append({"name": name, "status": status, "first_counterexample": None})
     if failing_config is not None:
         # the scan stopped at the first failing configuration: its rows are the failures
-        for slot, result in zip(agg, report.checks):
+        for slot, result in zip(agg, rows):
             if result.status == FAIL:
                 slot["first_counterexample"] = {
                     "config": list(failing_config),
@@ -736,7 +776,8 @@ def sweep_csv(rows: list[dict]) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         lines.append(",".join(str(row[col]) for col in SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -852,7 +893,8 @@ def suite_csv(rows: Sequence[dict]) -> str:
     lines = [",".join(SUITE_COLUMNS)]
     for row in rows:
         lines.append(",".join(str(row[col]) for col in SUITE_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def random_instance_suite(

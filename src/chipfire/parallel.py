@@ -377,4 +377,5 @@ def trace_csv(trace: GameTrace) -> str:
         else:
             column = ";".join(map(shown, sorted(fired)))
         lines.append(",".join([str(t), shown(len(fired)), column, *map(shown, candy)]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the joined text
+    return "\n".join(lines)

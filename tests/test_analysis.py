@@ -3,6 +3,7 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 from chipfire import graph
@@ -315,6 +316,32 @@ class TestBattery:
                       "stabilized_within_bound", "idle_gap"):
             assert report.get(name).status == NOT_APPLICABLE
 
+    @pytest.mark.parametrize(
+        "spec, config, witness, stab, bound",
+        [(("cycle", 3), [9, 0, 0], 0, 2, 27),
+         (("path", 4), [10, 0, 0, 0], 0, 12, 120),
+         (("star", 4), [0, 3, 3, 3], 1, 1, 72)],
+    )
+    def test_pass_details_are_pinned(self, spec, config, witness, stab, bound):
+        # the folds return bare pass rows; every returned report adds these two
+        g = cf.generate(*spec)
+        always = f"witness vertex {witness}"
+        within = f"stab_round {stab} <= {bound}"
+        details = {"always_firing": always, "stabilized_within_bound": within}
+        battery = cf.verify_battery(g, config)
+        assert {r.name: r.detail for r in battery.checks if r.detail} == details
+        firing = cf.check_always_firing(g, cf.run(g, config, 100))
+        assert [(r.name, r.status, r.detail) for r in firing.checks] == [
+            ("fired_nonempty", PASS, ""),
+            ("always_firing", PASS, always),
+            ("surplus_pigeonhole", PASS, ""),
+        ]
+        report = cf.check_stabilization_bound(g, config)
+        assert [(r.name, r.status, r.detail) for r in report.checks] == [
+            ("stabilized_within_bound", PASS, within),
+            ("idle_gap", PASS, ""),
+        ]
+
     def test_report_round_trips_to_json(self, c3):
         import json
 
@@ -346,7 +373,56 @@ def test_battery_walk_matches_reference_at_any_cap(spec):
             assert small.to_json() == report.to_json(), comp
 
 
+@st.composite
+def small_connected_graphs(draw):
+    """A random connected graph: a random tree, plus any other edges when
+    n <= 4.  A tree keeps n = 5 cheap: it has 6 188 compositions of the
+    totals up to 4m - n + 1, against 20 349 for a 5-vertex cycle."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    others = [(u, w) for u in range(n) for w in range(u + 1, n) if (u, w) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if n <= 4 and others else []
+    return cf.Graph.build(n, tree + extra)
+
+
+def _corpus_from_batteries(g, c):
+    """verify_corpus's verdict, rebuilt from one verify_battery report per
+    composition in lex order, up to the first report that fails."""
+    seen = {name: set() for name in CHECK_ORDER}
+    failing = None
+    for index, comp in enumerate(cf.enumerate_configs(g.n, c)):
+        report = cf.verify_battery(g, comp)
+        for row in report.checks:
+            seen[row.name].add(row.status)
+        if not report.ok:
+            failing = (index, list(comp), report)
+            break
+    checks = []
+    for name in CHECK_ORDER:
+        status = (FAIL if FAIL in seen[name] else
+                  PASS if PASS in seen[name] else NOT_APPLICABLE)
+        first = None
+        if failing and failing[2].get(name).status == FAIL:
+            index, config, report = failing
+            first = {"config": config, "index": index, **report.get(name).counterexample}
+        checks.append({"name": name, "status": status, "first_counterexample": first})
+    return {
+        "ok": failing is None,
+        "first_failing_config": failing and failing[1],
+        "configs_checked": failing[0] + 1 if failing else cf.compositions_count(g.n, c),
+        "checks": checks,
+    }
+
+
 class TestVerifyCorpus:
+    @given(small_connected_graphs())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_batteries_in_lex_order(self, g):
+        for c in range(cf.stabilization_threshold(g) + 2):
+            out = cf.verify_corpus(g, c)
+            rebuilt = _corpus_from_batteries(g, c)
+            assert {key: out[key] for key in rebuilt} == rebuilt, (g.edges, c)
+
     def test_triangle_exhaustive(self, c3):
         out = cf.verify_corpus(c3, 9)
         assert out["ok"] and out["configs_checked"] == 55

@@ -67,3 +67,22 @@ def test_run_without_result_shows_its_stderr(bench_pairs, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"[probe-cycle6] {tmp_path} seed 7: no result (exit 3)"
     assert err[1:] == [f"  line {i}" for i in range(20, 30)]
+
+
+@pytest.mark.parametrize("bad", ["parent", "change"])
+def test_bad_checkout_exits_2_before_any_run(bench_pairs, tmp_path, monkeypatch, capsys, bad):
+    good = tmp_path / "good"
+    (good / "bench").mkdir(parents=True)
+    (good / "bench" / "run.py").write_text("")
+    (good / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    (tmp_path / "empty").mkdir()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    for missing in (tmp_path / "nonexistent", tmp_path / "empty"):
+        sides = {"parent": good, "change": good, bad: missing}
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                              "--workload", "probe-cycle6", "--seeds", "1"])
+        assert exit_info.value.code == 2
+        assert f"--{bad} {missing} is not a directory holding bench/run.py" in capsys.readouterr().err
+    assert runs == []

@@ -8,7 +8,9 @@ each checkout, one process at a time, alternating which side runs first
 (pair i starts with the parent when i is even), and reads the JSON object
 on the last line of each run's stdout.  A run that exits non-zero or
 prints no result counts as failed, and the last lines of its stderr are
-shown with the progress.  It then prints, per workload and end-to-end
+shown with the progress.  A ``--parent`` or ``--change`` that is not a
+directory holding ``bench/run.py`` is refused with exit 2 before the
+first run.  It then prints, per workload and end-to-end
 metric, each side's median and quartiles over its runs, how many pairs
 the change won and lost (ties count for neither side), and the summed
 ``failed`` and ``attempted`` counts.  Which direction is better
@@ -119,7 +121,7 @@ def is_dirty(checkout: Path) -> bool | None:
     return None if out is None else bool(out.strip())
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
@@ -127,11 +129,21 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="one or more names; the flag may repeat")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=24.0)
-    return parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    return make_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    # checked before the first run, so a bad checkout loses no pair
+    for side in ("parent", "change"):
+        checkout = getattr(args, side)
+        if not (checkout / "bench" / "run.py").is_file():
+            parser.error(f"--{side} {checkout} is not a directory holding bench/run.py")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
