@@ -37,7 +37,14 @@ the Graph (twice_degree, short_bar, edge_ends).  The corpus drivers
 resolve the state cap once per scan, after the first configuration is
 drawn so that an enumeration or sampling error comes first, and an
 exhaustive scan hands each composition to the battery as
-Configuration(comp, c), valid by construction.
+Configuration(comp, c), valid by construction.  The named checks of
+oracle.exhaustive_verify, and so threshold_probe's scan of each total,
+work the same way: each is set up once per scan (_NAMED_SCANS: the
+threshold refusal, the gate and the state cap), and its check takes the
+enumerated compositions as they are, "stabilizes" straight to
+parallel._walk and the families and the battery as Configuration(comp,
+c).  NAMED_CHECKS[name](g, comp) validates its one composition and runs
+the same set-up and check on it.
 
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
@@ -65,13 +72,14 @@ from .oracle import (
     random_config,
 )
 from .parallel import (
+    _BRENT_BUDGET_FACTOR,
     Configuration,
     GameTrace,
-    Stabilized,
+    _coerce,
     _default_state_cap,
     _record_orbit,
     _step_raw,
-    classify,
+    _walk,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -563,32 +571,42 @@ def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int)
 
 
 # ---------------------------------------------------------------------------
-# named checks for oracle.exhaustive_verify
+# named checks for oracle.exhaustive_verify: each is set up once per scan
+# (_NAMED_SCANS) into a check of one enumerated composition, and
+# NAMED_CHECKS[name](g, comp) is a scan of the one validated composition
 
 
-def _named_stabilizes(g: Graph, comp) -> Optional[dict]:
-    outcome = classify(g, comp)
-    if isinstance(outcome, Stabilized):
-        return None
-    cycle_min = min(_cycle_states(g, tuple(comp), outcome.preperiod, outcome.period))
-    return {
-        "kind": "periodic",
-        "preperiod": outcome.preperiod,
-        "period": outcome.period,
-        "witness_config": cycle_min,
-    }
+def _stabilizes_scan(g: Graph, c: int):
+    """The set-up of a "stabilizes" scan, whose check walks each orbit once
+    and fails it when it does not stabilize; the witness is the least
+    state of its cycle."""
+    cap = _default_state_cap()
+    budget = _BRENT_BUDGET_FACTOR * cap
+
+    def check(comp) -> Optional[dict]:
+        _, _, preperiod, period, _ = _walk(g, comp, cap, budget)
+        if period == 1:
+            return None
+        return {
+            "kind": "periodic",
+            "preperiod": preperiod,
+            "period": period,
+            "witness_config": min(_cycle_states(g, comp, preperiod, period)),
+        }
+
+    return check
 
 
-def _named_family(name: str):
-    """The named check of one family: its first failing row on the orbit of comp.
+def _family_scan(name: str):
+    """The set-up of one family's scan, whose check gives the family's first
+    failing row on the orbit of each composition.
 
     A family that needs c >= 4m - n refuses a smaller c with ValueError
     before the graph is gated.
     """
     family = _FAMILIES[name]
 
-    def check(g: Graph, comp) -> Optional[dict]:
-        c = sum(comp)
+    def prepare(g: Graph, c: int):
         threshold = stabilization_threshold(g)
         if family.above_threshold and c < threshold:
             raise ValueError(
@@ -596,16 +614,28 @@ def _named_family(name: str):
             )
         if family.gated:
             _gate(g)
-        rows, _ = _fold(name, g, c, threshold, *_record_orbit(g, comp))
-        return _first_failure(rows)
+        cap = _default_state_cap()
+
+        def check(comp) -> Optional[dict]:
+            record = _record_orbit(g, Configuration(comp, c), cap)
+            return _first_failure(_fold(name, g, c, threshold, *record)[0])
+
+        return check
+
+    return prepare
+
+
+def _battery_scan(g: Graph, c: int):
+    """The set-up of a battery scan, whose check gives the first failing
+    row of the whole battery on each orbit."""
+    _gate(g)
+    threshold = stabilization_threshold(g)
+    cap = _default_state_cap()
+
+    def check(comp) -> Optional[dict]:
+        return _first_failure(_battery_rows(g, Configuration(comp, c), threshold, cap)[0])
 
     return check
-
-
-def _named_battery(g: Graph, comp) -> Optional[dict]:
-    _gate(g)
-    initial = comp if isinstance(comp, Configuration) else Configuration.of(comp)
-    return _first_failure(_battery_rows(g, initial, stabilization_threshold(g))[0])
 
 
 def _first_failure(checks: Iterable[CheckResult]) -> Optional[dict]:
@@ -618,11 +648,24 @@ def _first_failure(checks: Iterable[CheckResult]) -> Optional[dict]:
     return None
 
 
-NAMED_CHECKS = {
-    "stabilizes": _named_stabilizes,
-    **{name: _named_family(name) for name in _FAMILIES},
-    "battery": _named_battery,
+def _one_composition(prepare):
+    """The named check of one composition: validated (a negative part is a
+    ValueError, a wrong length SizeMismatch), then checked as a scan of one."""
+
+    def check(g: Graph, comp) -> Optional[dict]:
+        candy = _coerce(g, comp)
+        return prepare(g, sum(candy))(candy)
+
+    return check
+
+
+_NAMED_SCANS = {
+    "stabilizes": _stabilizes_scan,
+    **{name: _family_scan(name) for name in _FAMILIES},
+    "battery": _battery_scan,
 }
+
+NAMED_CHECKS = {name: _one_composition(prepare) for name, prepare in _NAMED_SCANS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,18 @@ and settles it exactly: the guess v is right when tail(v + 1) < need <=
 tail(v), and otherwise galloping and bisection on tail find the part.
 Either way the cost per part is a few big-integer products and
 quotients, however large c is.
+
+exhaustive_verify sets a registered check up once per scan, after the
+first composition is drawn: its threshold refusal, graph gate and state
+cap (CHIPFIRE_STATE_CAP is read then, once per scan, not once per
+process).  Each composition the enumeration yields is valid by
+construction and goes to the check as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial, log, log1p, log2, perm
 from typing import Callable, Iterator, Optional, Union
 
@@ -250,17 +257,20 @@ class ExhaustiveResult:
 
 
 CheckFn = Callable[[Graph, tuple[int, ...]], Optional[dict]]
+# a check's set-up for one scan: (g, c) -> the check of one composition of
+# c on g, returning None on pass and a detail dict on failure
+ScanFn = Callable[[Graph, int], Callable[[tuple[int, ...]], Optional[dict]]]
 
 
-def _resolve_check(check: Union[str, CheckFn]) -> CheckFn:
+def _resolve_scan(check: Union[str, CheckFn]) -> ScanFn:
     if callable(check):
-        return check
-    from .analysis import NAMED_CHECKS  # deferred: analysis imports this module
+        return lambda g, c: partial(check, g)
+    from .analysis import _NAMED_SCANS  # deferred: analysis imports this module
 
     try:
-        return NAMED_CHECKS[check]
+        return _NAMED_SCANS[check]
     except KeyError:
-        known = ", ".join(sorted(NAMED_CHECKS))
+        known = ", ".join(sorted(_NAMED_SCANS))
         raise ValueError(f"unknown check {check!r}; known: {known}") from None
 
 
@@ -274,12 +284,19 @@ def exhaustive_verify(
 
     check is a registered name (see analysis.NAMED_CHECKS) or a callable
     returning None on pass and a detail dict on failure.  Scanning stops
-    at the first failure, which is therefore the minimal-rank one.
+    at the first failure, which is therefore the minimal-rank one.  A
+    registered name is set up once per scan (analysis._NAMED_SCANS: its
+    threshold refusal, graph gate and state cap), after the first
+    composition is drawn so that an enumeration error comes first, and
+    its check then trusts each enumerated composition as valid.
     """
-    fn = _resolve_check(check)
+    prepare = _resolve_scan(check)
+    fn = None
     checked = 0
     for comp in enumerate_configs(g.n, c, cap=cap):
-        detail = fn(g, comp)
+        if fn is None:
+            fn = prepare(g, c)
+        detail = fn(comp)
         checked += 1
         if detail is not None:
             witness = detail.get("witness_config", comp)

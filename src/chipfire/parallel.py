@@ -20,11 +20,11 @@ vertex fires changes nothing; when at most a quarter of the vertices do
 not fire, it updates those and their neighbours, and otherwise the fired
 vertices and theirs.
 
-classify and the checks' record (_record_orbit) read one walk, _walk: a
-visited map up to the first repeated state, past the state cap Brent's
-constant-memory finder.  The record steps a capped walk on to its first
-repeat and copies a cycle's second period; every cap is checked once, in
-_default_state_cap.
+classify, the checks' record (_record_orbit) and the "stabilizes" scan
+of oracle.exhaustive_verify read one walk, _walk: a visited map up to the
+first repeated state, past the state cap Brent's constant-memory finder.
+The record steps a capped walk on to its first repeat and copies a
+cycle's second period; every cap is checked once, in _default_state_cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""
@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ge, lt
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import ResourceExhausted, SizeMismatch
 from .graph import Graph
@@ -85,7 +85,8 @@ class RoundRecord:
 class GameTrace:
     """Everything a run observed, each round once: its fired tuple and the
     configuration after it.  Pass counts (how often each vertex has fired
-    by round t) are derived from the fired tuples by pass_at."""
+    by round t) are derived from the fired tuples: by pass_at for one
+    round, by running_pass_counts for every round in turn."""
 
     initial: Configuration
     rounds: tuple[RoundRecord, ...]
@@ -126,6 +127,16 @@ class GameTrace:
         counts = Counter(chain.from_iterable(
             rec.fired for rec in self.rounds[:self._round_index(t)]))
         return tuple(map(counts.__getitem__, range(self.n)))
+
+    def running_pass_counts(self) -> Iterator[tuple[int, ...]]:
+        """The pass counts after each round in turn, rounds 1..T: pass_at(t)
+        for t = 1, 2, ..., kept as running counts, so O(n) a round where
+        calling pass_at for every round costs O(rounds^2)."""
+        counts = [0] * self.n
+        for rec in self.rounds:
+            for v in rec.fired:
+                counts[v] += 1
+            yield tuple(counts)
 
     def vertex_stabilization_rounds(self) -> tuple[int, ...]:
         """Per-vertex convenience view: first recorded round after which
@@ -294,7 +305,8 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
     budget = _BRENT_BUDGET_FACTOR * cap if step_cap is None else step_cap
     _, _, preperiod, period, entry = _walk(g, candy, cap, budget)
     if period == 1:
-        return Stabilized(stab_round=preperiod, fixed=Configuration.of(entry))
+        # a step keeps the total and non-negative ints: no re-validation
+        return Stabilized(stab_round=preperiod, fixed=Configuration(entry, sum(candy)))
     return EventuallyPeriodic(preperiod=preperiod, period=period)
 
 

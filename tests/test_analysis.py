@@ -633,6 +633,78 @@ def test_enumeration_cap_before_state_cap(monkeypatch):
         cf.verify_corpus(cf.generate("cycle", 6), 18, enum_cap=10)
 
 
+def _lex_compositions(n, c):
+    """Every composition of c into n parts in lex order, by recursion on the
+    first part, independent of the package's enumeration."""
+    if n == 1:
+        yield (c,)
+        return
+    for first in range(c + 1):
+        for rest in _lex_compositions(n - 1, c - first):
+            yield (first, *rest)
+
+
+def _scan_one_at_a_time(g, c, name):
+    """exhaustive_verify's fields, rebuilt from NAMED_CHECKS[name] called on
+    each composition in lex order, up to the first that fails."""
+    check = cf.NAMED_CHECKS[name]
+    checked = 0
+    for rank, comp in enumerate(_lex_compositions(g.n, c)):
+        detail = check(g, comp)
+        checked += 1
+        if detail is not None:
+            witness = tuple(detail.pop("witness_config", comp))
+            return False, checked, (witness, comp, rank, detail)
+    return True, checked, None
+
+
+class TestNamedScans:
+    @given(small_connected_graphs())
+    @settings(max_examples=8, deadline=None)
+    def test_scan_matches_one_check_per_composition(self, g):
+        threshold = cf.stabilization_threshold(g)
+        for c in range(threshold + 2):
+            for name in cf.NAMED_CHECKS:
+                if name in ("bound", "always_firing") and c < threshold:
+                    with pytest.raises(ValueError):
+                        cf.exhaustive_verify(g, c, name)
+                    with pytest.raises(ValueError):
+                        _scan_one_at_a_time(g, c, name)
+                    continue
+                res = cf.exhaustive_verify(g, c, name)
+                ce = res.counterexample
+                got = (res.passed, res.configs_checked,
+                       ce and (ce.config, ce.initial, ce.rank, ce.detail))
+                assert got == _scan_one_at_a_time(g, c, name), (name, g.edges, c)
+
+    def test_malformed_state_cap_env(self, monkeypatch, c3):
+        monkeypatch.setenv("CHIPFIRE_STATE_CAP", "soon")
+        with pytest.raises(ValueError, match="CHIPFIRE_STATE_CAP"):
+            cf.exhaustive_verify(c3, 3, "stabilizes")
+        with pytest.raises(ValueError, match="CHIPFIRE_STATE_CAP"):
+            cf.threshold_probe(c3, 3)
+        # an over-cap enumeration fails before the state cap is read
+        with pytest.raises(ResourceExhausted):
+            cf.exhaustive_verify(c3, 200, "stabilizes", cap=10)
+        with pytest.raises(ResourceExhausted):
+            cf.threshold_probe(c3, 3, cap=0)
+
+    def test_state_cap_env_is_read_per_scan(self, monkeypatch):
+        # path:5 at c = 4m - n: its first composition, all candy on one end,
+        # takes more than the 64-step walk that a state cap of 1 allows
+        g = cf.generate("path", 5)
+        c = cf.stabilization_threshold(g)
+        for _ in range(2):
+            monkeypatch.setenv("CHIPFIRE_STATE_CAP", "1")
+            with pytest.raises(ResourceExhausted):
+                cf.exhaustive_verify(g, c, "stabilizes")
+            monkeypatch.setenv("CHIPFIRE_STATE_CAP", "soon")
+            with pytest.raises(ValueError):
+                cf.exhaustive_verify(g, c, "stabilizes")
+            monkeypatch.delenv("CHIPFIRE_STATE_CAP")
+            assert cf.exhaustive_verify(g, c, "stabilizes").passed
+
+
 def test_library_writes_nothing_to_stdout(capsys, c3, c4):
     for kind in cf.GENERATOR_KINDS:
         cf.generate(kind, 300 if kind == "random_connected" else 5, p=0.03, seed=1)

@@ -2,6 +2,7 @@
 summary says it measured."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -86,3 +87,63 @@ def test_bad_checkout_exits_2_before_any_run(bench_pairs, tmp_path, monkeypatch,
         assert exit_info.value.code == 2
         assert f"--{bad} {missing} is not a directory holding bench/run.py" in capsys.readouterr().err
     assert runs == []
+
+
+SPEC = {
+    "solve_s": {"name": "solve_s", "better": "lower", "bound": 0.25},
+    "configs_per_s": {"name": "configs_per_s", "better": "higher", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+}
+
+
+def _run(values):
+    return {"metrics": {name: {"value": v} for name, v in values.items()},
+            "failed": 0, "attempted": 1}
+
+
+def _pairs(parent, change, count=10):
+    return [(_run(parent), _run(change)) for _ in range(count)]
+
+
+# a probe-cycle6 memo that solved 3.2x faster while its peak RSS rose 12.6 %
+MEMO_PARENT = {"solve_s": 2.05, "peak_rss_mb": 25.49}
+MEMO_CHANGE = {"solve_s": 0.63, "peak_rss_mb": 28.71}
+MEMO_SPEC = {name: SPEC[name] for name in MEMO_PARENT}
+
+
+def test_over_bound_flags_a_rise_in_memory_past_its_bound(bench_pairs):
+    metrics = bench_pairs.summarize(_pairs(MEMO_PARENT, MEMO_CHANGE), MEMO_SPEC)["metrics"]
+    assert metrics["peak_rss_mb"]["over_bound"] is True
+    assert metrics["peak_rss_mb"]["bound"] == 0.1
+    assert metrics["peak_rss_mb"]["shift"] == pytest.approx(28.71 / 25.49 - 1)
+    assert metrics["solve_s"]["over_bound"] is False
+    assert metrics["solve_s"]["wins"] == 10
+
+
+def test_over_bound_reads_the_direction(bench_pairs):
+    # a higher-is-better metric is over its bound when it falls by more than it
+    pairs = _pairs({"solve_s": 1.0, "configs_per_s": 1000.0, "peak_rss_mb": 25.0},
+                   {"solve_s": 1.2, "configs_per_s": 700.0, "peak_rss_mb": 27.5})
+    metrics = bench_pairs.summarize(pairs, SPEC)["metrics"]
+    assert metrics["configs_per_s"]["over_bound"] is True
+    assert metrics["solve_s"]["over_bound"] is False  # +20 % is within 25 %
+    assert metrics["peak_rss_mb"]["over_bound"] is False  # +10 % exactly is not past 10 %
+
+
+def test_summary_lists_metrics_over_bound(bench_pairs, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": list(MEMO_SPEC.values())}))
+    parent, change = _run(MEMO_PARENT), _run(MEMO_CHANGE)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *args: parent if checkout.name == "parent" else change)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "probe-cycle6", "--seeds", "1", "2"]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert [(o["workload"], o["metric"], o["bound"]) for o in summary["over_bound"]] == [
+        ("probe-cycle6", "peak_rss_mb", 0.1)]
+    assert "[probe-cycle6] peak_rss_mb: the change median is +12.6% against the parent's" in err

@@ -106,6 +106,17 @@ class TestRun:
                 counts[v] += 1
             assert trace.pass_at(t) == tuple(counts)
 
+    def test_running_pass_counts_match_pass_at(self):
+        # games that stabilize, that oscillate, and that stop on their
+        # budget, from a few seeded starts at totals below and above 4m - n
+        for g in GRAPH_POOL:
+            for c in (g.m, 3 * g.m, 4 * g.m - g.n):
+                for seed, budget in ((0, 0), (1, 5), (2, 200)):
+                    trace = cf.run(g, cf.random_config(g.n, c, seed), budget)
+                    rounds = len(trace.rounds)
+                    running = list(trace.running_pass_counts())
+                    assert running == [trace.pass_at(t) for t in range(1, rounds + 1)]
+
     def test_trace_keeps_no_pass_count_column(self):
         assert [f.name for f in fields(cf.GameTrace)] == ["initial", "rounds", "stop"]
 

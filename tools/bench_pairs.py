@@ -13,8 +13,11 @@ directory holding ``bench/run.py`` is refused with exit 2 before the
 first run.  It then prints, per workload and end-to-end
 metric, each side's median and quartiles over its runs, how many pairs
 the change won and lost (ties count for neither side), and the summed
-``failed`` and ``attempted`` counts.  Which direction is better
-comes from the parent's ``BENCHMARK.json``.
+``failed`` and ``attempted`` counts.  Which direction is better, and the
+bound by which each metric may worsen, come from the parent's
+``BENCHMARK.json``: a metric whose change median is worse than the
+parent median by more than its bound is marked ``over_bound``, listed in
+the summary's top-level ``over_bound`` and named on stderr.
 
 The summary is one JSON document on stdout, with the seeds, each
 checkout's ``git rev-parse HEAD`` and whether its tracked files differ
@@ -67,11 +70,14 @@ def quartiles(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict | None, dict | None]], better: dict) -> dict:
+def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
     """One workload's summary: per end-to-end metric, each side's median
-    and quartiles and the pairs the change won; per side, the failures."""
+    and quartiles, the pairs the change won, and whether the change median
+    is worse than the parent's by more than the metric's bound; per side,
+    the failures.  spec maps each metric to its ``BENCHMARK.json`` entry."""
     metrics = {}
-    for name, direction in better.items():
+    for name, entry in spec.items():
+        direction = entry["better"]
         wins = losses = 0
         for p, c in pairs:
             if not (p and c):
@@ -86,8 +92,11 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], better: dict) -> dic
         shift = None
         if parent and change and parent["median"]:
             shift = (change["median"] - parent["median"]) / parent["median"]
+        bound = entry.get("bound")
+        worse = None if shift is None else shift if direction == "lower" else -shift
         metrics[name] = {"better": direction, "parent": parent, "change": change,
-                         "shift": shift, "wins": wins, "losses": losses}
+                         "shift": shift, "wins": wins, "losses": losses, "bound": bound,
+                         "over_bound": bound is not None and worse is not None and worse > bound}
     sides = {}
     for side, index in (("parent", 0), ("change", 1)):
         runs = [pair[index] for pair in pairs]
@@ -146,12 +155,13 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {checkout} is not a directory holding bench/run.py")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     summary = {
         "commits": {"parent": head_commit(args.parent), "change": head_commit(args.change)},
         "dirty": {"parent": is_dirty(args.parent), "change": is_dirty(args.change)},
         "seeds": args.seeds,
         "seconds": args.seconds,
+        "over_bound": [],  # {"workload", "metric", "shift", "bound"} per metric past its bound
         "workloads": {},
     }
     for workload in args.workload:
@@ -165,7 +175,13 @@ def main(argv=None) -> int:
             pairs.append((sides["parent"], sides["change"]))
             print(f"[{workload}] pair {i + 1}/{len(args.seeds)} seed {seed} done",
                   file=sys.stderr, flush=True)
-        summary["workloads"][workload] = summarize(pairs, better)
+        result = summary["workloads"][workload] = summarize(pairs, end_to_end)
+        for name, m in result["metrics"].items():
+            if m["over_bound"]:
+                summary["over_bound"].append(
+                    {"workload": workload, "metric": name, "shift": m["shift"], "bound": m["bound"]})
+                print(f"[{workload}] {name}: the change median is {m['shift']:+.1%} against the "
+                      f"parent's, past its bound of {m['bound']:.0%}", file=sys.stderr, flush=True)
     json.dump(summary, sys.stdout, indent=2)
     print()
     return 0
