@@ -660,7 +660,7 @@ def _scan_one_at_a_time(g, c, name):
 
 class TestNamedScans:
     @given(small_connected_graphs())
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=6, deadline=None)
     def test_scan_matches_one_check_per_composition(self, g):
         threshold = cf.stabilization_threshold(g)
         for c in range(threshold + 2):

@@ -93,10 +93,12 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
         if parent and change and parent["median"]:
             shift = (change["median"] - parent["median"]) / parent["median"]
         bound = entry.get("bound")
-        worse = None if shift is None else shift if direction == "lower" else -shift
+        over_bound = False
+        if shift is not None and bound is not None:
+            over_bound = (shift if direction == "lower" else -shift) > bound
         metrics[name] = {"better": direction, "parent": parent, "change": change,
                          "shift": shift, "wins": wins, "losses": losses, "bound": bound,
-                         "over_bound": bound is not None and worse is not None and worse > bound}
+                         "over_bound": over_bound}
     sides = {}
     for side, index in (("parent", 0), ("change", 1)):
         runs = [pair[index] for pair in pairs]
