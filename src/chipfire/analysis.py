@@ -40,11 +40,13 @@ exhaustive scan hands each composition to the battery as
 Configuration(comp, c), valid by construction.  The named checks of
 oracle.exhaustive_verify, and so threshold_probe's scan of each total,
 work the same way: each is set up once per scan (_NAMED_SCANS: the
-threshold refusal, the gate and the state cap), and its check takes the
-enumerated compositions as they are, "stabilizes" straight to
-parallel._walk and the families and the battery as Configuration(comp,
-c).  NAMED_CHECKS[name](g, comp) validates its one composition and runs
-the same set-up and check on it.
+threshold refusal, the gate and the state cap), and its check takes each
+enumerated composition as Configuration(comp, c), "stabilizes" to
+classify with the scan's caps and the families and the battery to their
+folds.  NAMED_CHECKS[name](g, comp) validates its one composition and
+runs the same set-up and check on it.  A name is resolved through
+_NAMED_SCANS, which NAMED_CHECKS is built from, so replacing an entry of
+NAMED_CHECKS does not change what a scan runs.
 
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
@@ -75,11 +77,12 @@ from .parallel import (
     _BRENT_BUDGET_FACTOR,
     Configuration,
     GameTrace,
+    Stabilized,
     _coerce,
     _default_state_cap,
     _record_orbit,
     _step_raw,
-    _walk,
+    classify,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -577,21 +580,22 @@ def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int)
 
 
 def _stabilizes_scan(g: Graph, c: int):
-    """The set-up of a "stabilizes" scan, whose check walks each orbit once
-    and fails it when it does not stabilize; the witness is the least
-    state of its cycle."""
+    """The set-up of a "stabilizes" scan, whose check classifies each orbit
+    with the scan's caps and fails it when it does not stabilize; the
+    witness is the least state of its cycle."""
     cap = _default_state_cap()
     budget = _BRENT_BUDGET_FACTOR * cap
 
     def check(comp) -> Optional[dict]:
-        _, _, preperiod, period, _ = _walk(g, comp, cap, budget)
-        if period == 1:
+        outcome = classify(g, Configuration(comp, c), cap, budget)
+        if isinstance(outcome, Stabilized):
             return None
         return {
             "kind": "periodic",
-            "preperiod": preperiod,
-            "period": period,
-            "witness_config": min(_cycle_states(g, comp, preperiod, period)),
+            "preperiod": outcome.preperiod,
+            "period": outcome.period,
+            "witness_config": min(
+                _cycle_states(g, comp, outcome.preperiod, outcome.period)),
         }
 
     return check

@@ -282,13 +282,16 @@ def exhaustive_verify(
 ) -> ExhaustiveResult:
     """Apply a check to every composition of c on g, in lexicographic order.
 
-    check is a registered name (see analysis.NAMED_CHECKS) or a callable
-    returning None on pass and a detail dict on failure.  Scanning stops
-    at the first failure, which is therefore the minimal-rank one.  A
-    registered name is set up once per scan (analysis._NAMED_SCANS: its
-    threshold refusal, graph gate and state cap), after the first
-    composition is drawn so that an enumeration error comes first, and
-    its check then trusts each enumerated composition as valid.
+    check is a registered name (one of analysis.NAMED_CHECKS) or a
+    callable returning None on pass and a detail dict on failure.
+    Scanning stops at the first failure, which is therefore the
+    minimal-rank one.  A registered name is resolved through
+    analysis._NAMED_SCANS, the registry NAMED_CHECKS is built from, so
+    replacing an entry of NAMED_CHECKS does not change a scan.  It is set
+    up once per scan (its threshold refusal, graph gate and state cap),
+    after the first composition is drawn so that an enumeration error
+    comes first, and its check then trusts each enumerated composition
+    as valid.
     """
     prepare = _resolve_scan(check)
     fn = None

@@ -20,11 +20,11 @@ vertex fires changes nothing; when at most a quarter of the vertices do
 not fire, it updates those and their neighbours, and otherwise the fired
 vertices and theirs.
 
-classify, the checks' record (_record_orbit) and the "stabilizes" scan
-of oracle.exhaustive_verify read one walk, _walk: a visited map up to the
-first repeated state, past the state cap Brent's constant-memory finder.
-The record steps a capped walk on to its first repeat and copies a
-cycle's second period; every cap is checked once, in _default_state_cap.
+classify and the checks' record (_record_orbit) read one walk, _walk: a
+visited map up to the first repeated state, past the state cap Brent's
+constant-memory finder.  The record steps a capped walk on to its first
+repeat and copies a cycle's second period; every cap is checked once, in
+_default_state_cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""

@@ -243,12 +243,8 @@ class TestGapCheckpoints:
         assert _gap_counterexamples(g, trace) == (None, None)
         # the same 6 733 fired tuples against smaller bounds, with the first
         # failing round and edge found from running counts round by round
-        counts = [0] * g.n
-        widest = []
-        for rec in trace.rounds:
-            for v in rec.fired:
-                counts[v] += 1
-            widest.append(max(abs(counts[u] - counts[w]) for u, w in g.edges))
+        widest = [max(abs(p[u] - p[w]) for u, w in g.edges)
+                  for p in trace.running_pass_counts()]
         assert max(widest) == 137
         fired = [rec.fired for rec in trace.rounds]
         for bound in (3, 20, 50, 100, 136):
