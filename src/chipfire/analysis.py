@@ -77,11 +77,11 @@ from .parallel import (
     _BRENT_BUDGET_FACTOR,
     Configuration,
     GameTrace,
-    Stabilized,
     _coerce,
     _default_state_cap,
     _record_orbit,
     _step_raw,
+    _walk,
     classify,
 )
 from .rng import SplitMix64, derive_seed
@@ -580,16 +580,18 @@ def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int)
 
 
 def _stabilizes_scan(g: Graph, c: int):
-    """The set-up of a "stabilizes" scan, whose check classifies each orbit
-    with the scan's caps and fails it when it does not stabilize; the
-    witness is the least state of its cycle."""
+    """The set-up of a "stabilizes" scan, whose check walks each orbit once
+    with the scan's caps (_walk) and passes it when the walk ends at a fixed
+    point, with no Configuration and no outcome built.  An orbit that does
+    not stabilize is classified as a Configuration of c, and its witness is
+    the least state of its cycle."""
     cap = _default_state_cap()
     budget = _BRENT_BUDGET_FACTOR * cap
 
     def check(comp) -> Optional[dict]:
-        outcome = classify(g, Configuration(comp, c), cap, budget)
-        if isinstance(outcome, Stabilized):
+        if _walk(g, comp, cap, budget)[3] == 1:
             return None
+        outcome = classify(g, Configuration(comp, c), cap, budget)
         return {
             "kind": "periodic",
             "preperiod": outcome.preperiod,

@@ -271,24 +271,26 @@ def _walk(g: Graph, candy, cap, budget):
 
     Returns (states, fired, preperiod, period, entry): states[t] is the
     state after t rounds, fired[t - 1] what fired in round t, and entry
-    the state at round preperiod.  Once cap states are mapped the walk
-    stops at round cap and _brent, within budget steps, finds the rest.
+    the state at round preperiod.  Each state is hashed once: setdefault
+    maps a new state to its round and hands back the round of a repeated
+    one.  Once cap states are mapped the walk stops at round cap and
+    _brent, within budget steps, finds the rest.
     """
     adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     seen = {candy: 0}  # insertion order is orbit order
+    mark = seen.setdefault
     fired = []
     x = candy
-    while True:
+    for t in range(1, cap + 1):
         x, f = _step_raw(adjacency, degree, fire_at, x)
         fired.append(f)
-        preperiod = seen.get(x)
-        if preperiod is not None:
-            period, entry = len(fired) - preperiod, x
+        preperiod = mark(x, t)
+        if preperiod != t:
+            period, entry = t - preperiod, x
             break
-        if len(seen) >= cap:
-            preperiod, period, entry = _brent(g, candy, budget)
-            break
-        seen[x] = len(fired)
+    else:
+        seen.popitem()  # round cap's state: the map keeps cap states
+        preperiod, period, entry = _brent(g, candy, budget)
     return [*seen, x], fired, preperiod, period, entry
 
 
