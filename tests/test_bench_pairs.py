@@ -147,3 +147,26 @@ def test_summary_lists_metrics_over_bound(bench_pairs, tmp_path, monkeypatch, ca
     assert [(o["workload"], o["metric"], o["bound"]) for o in summary["over_bound"]] == [
         ("probe-cycle6", "peak_rss_mb", 0.1)]
     assert "[probe-cycle6] peak_rss_mb: the change median is +12.6% against the parent's" in err
+    assert "median attempted per run 1 against 1" in err
+
+
+
+# a probe-cycle6 lex-order early exit: twice as fast, with +20 % peak RSS and
+# more than twice the solves per run; (solve_s, peak_rss_mb, attempted) per run
+LEX_PAIRS = [((1.45, 24.9, 16), (0.68, 30.3, 40)), ((1.61, 25.7, 19), (0.63, 29.6, 38))]
+
+
+def _lex_run(solve_s, peak_rss_mb, attempted):
+    return {**_run({"solve_s": solve_s, "peak_rss_mb": peak_rss_mb}), "attempted": attempted}
+
+
+def test_attempted_quartiles_show_the_solves_behind_a_memory_rise(bench_pairs):
+    pairs = [(_lex_run(*p), _lex_run(*c)) for p, c in LEX_PAIRS]
+    summary = bench_pairs.summarize(pairs, MEMO_SPEC)
+    assert summary["metrics"]["peak_rss_mb"]["over_bound"] is True
+    assert summary["metrics"]["solve_s"]["wins"] == 2
+    assert summary["parent"]["attempted"] == 35
+    assert summary["parent"]["attempted_per_run"] == {"median": 17.5, "q1": 16.75, "q3": 18.25}
+    assert summary["change"]["attempted_per_run"] == {"median": 39, "q1": 38.5, "q3": 39.5}
+    # a side without a result has no quartiles
+    assert bench_pairs.summarize([(pairs[0][0], None)], {})["change"]["attempted_per_run"] is None

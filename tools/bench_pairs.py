@@ -17,7 +17,11 @@ the change won and lost (ties count for neither side), and the summed
 bound by which each metric may worsen, come from the parent's
 ``BENCHMARK.json``: a metric whose change median is worse than the
 parent median by more than its bound is marked ``over_bound``, listed in
-the summary's top-level ``over_bound`` and named on stderr.
+the summary's top-level ``over_bound`` and named on stderr.  Each side also
+gets the median and quartiles of ``attempted`` over its runs: a run does
+as many solves as fit in its time, so a faster change runs more of them,
+and a ``peak_rss_mb`` rise that comes with more solves per run points at
+what the harness keeps per solve rather than at the package.
 
 The summary is one JSON document on stdout, with the seeds, each
 checkout's ``git rev-parse HEAD`` and whether its tracked files differ
@@ -105,6 +109,7 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
         sides[side] = {
             "failed": sum(r["failed"] for r in runs if r) + runs.count(None),
             "attempted": sum(r["attempted"] for r in runs if r),
+            "attempted_per_run": quartiles([r["attempted"] for r in runs if r]),
             "runs_without_result": runs.count(None),
         }
     return {"pairs": len(pairs), "metrics": metrics, **sides}
@@ -182,8 +187,12 @@ def main(argv=None) -> int:
             if m["over_bound"]:
                 summary["over_bound"].append(
                     {"workload": workload, "metric": name, "shift": m["shift"], "bound": m["bound"]})
+                # a shift needs runs on both sides, so both have attempted counts
+                solves = (result["parent"]["attempted_per_run"]["median"],
+                          result["change"]["attempted_per_run"]["median"])
                 print(f"[{workload}] {name}: the change median is {m['shift']:+.1%} against the "
-                      f"parent's, past its bound of {m['bound']:.0%}", file=sys.stderr, flush=True)
+                      f"parent's, past its bound of {m['bound']:.0%}; median attempted per run "
+                      f"{solves[0]:g} against {solves[1]:g}", file=sys.stderr, flush=True)
     json.dump(summary, sys.stdout, indent=2)
     print()
     return 0
