@@ -40,9 +40,10 @@ exhaustive scan hands each composition to the battery as
 Configuration(comp, c), valid by construction.  The named checks of
 oracle.exhaustive_verify, and so threshold_probe's scan of each total,
 work the same way: each is set up once per scan (_NAMED_SCANS: the
-threshold refusal, the gate and the state cap), and its check takes each
-enumerated composition as Configuration(comp, c), "stabilizes" to
-classify with the scan's caps and the families and the battery to their
+threshold refusal, the gate and the state cap), and its check trusts each
+enumerated composition: "stabilizes" walks it once with the scan's caps
+(parallel._walk) and classifies it only when it does not stabilize, and
+the families and the battery take it as Configuration(comp, c) to their
 folds.  NAMED_CHECKS[name](g, comp) validates its one composition and
 runs the same set-up and check on it.  A name is resolved through
 _NAMED_SCANS, which NAMED_CHECKS is built from, so replacing an entry of

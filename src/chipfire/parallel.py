@@ -20,11 +20,13 @@ vertex fires changes nothing; when at most a quarter of the vertices do
 not fire, it updates those and their neighbours, and otherwise the fired
 vertices and theirs.
 
-classify and the checks' record (_record_orbit) read one walk, _walk: a
-visited map up to the first repeated state, past the state cap Brent's
-constant-memory finder.  The record steps a capped walk on to its first
-repeat and copies a cycle's second period; every cap is checked once, in
-_default_state_cap.
+classify, the checks' record (_record_orbit) and a "stabilizes" scan
+read one walk, _walk: a visited map up to the first repeated state, each
+state hashed once, past the state cap Brent's constant-memory finder.  A
+"stabilizes" scan passes an orbit that ends at a fixed point on the bare
+walk and classifies only one that does not.  The record steps a capped
+walk on to its first repeat and copies a cycle's second period; every
+cap is checked once, in _default_state_cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""

@@ -16,7 +16,7 @@ from chipfire.analysis import (
     SWEEP_COLUMNS,
 )
 from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted
-from conftest import naive_orbit, neighbor_map
+from conftest import naive_orbit, naive_round, neighbor_map
 
 
 def test_check_order_covers_battery(c3):
@@ -699,6 +699,91 @@ class TestNamedScans:
                 cf.exhaustive_verify(g, c, "stabilizes")
             monkeypatch.delenv("CHIPFIRE_STATE_CAP")
             assert cf.exhaustive_verify(g, c, "stabilizes").passed
+
+
+def _naive_stabilizes_scan(g, c):
+    """exhaustive_verify(g, c, "stabilizes")'s fields, rebuilt from the
+    reference simulator alone: naive_orbit classifies each composition in
+    lex order, up to the first whose period exceeds 1, and naive_round
+    steps its cycle for the least state."""
+    neighbors = neighbor_map(g)
+    for rank, comp in enumerate(_lex_compositions(g.n, c)):
+        preperiod, period = naive_orbit(g, comp)
+        if period > 1:
+            x = list(comp)
+            for _ in range(preperiod):
+                x, _fired = naive_round(neighbors, x)
+            cycle = []
+            for _ in range(period):
+                cycle.append(tuple(x))
+                x, _fired = naive_round(neighbors, x)
+            detail = {"kind": "periodic", "preperiod": preperiod, "period": period}
+            return False, rank + 1, (min(cycle), comp, rank, detail)
+    return True, cf.compositions_count(g.n, c), None
+
+
+@given(small_connected_graphs())
+@settings(max_examples=10, deadline=None)
+def test_stabilizes_scan_matches_the_reference_simulator(g):
+    # TestNamedScans compares the scan with NAMED_CHECKS, which walks with
+    # the same code; this compares it with a simulator that shares none
+    for c in range(cf.stabilization_threshold(g) + 2):
+        res = cf.exhaustive_verify(g, c, "stabilizes")
+        ce = res.counterexample
+        got = (res.passed, res.configs_checked,
+               ce and (ce.config, ce.initial, ce.rank, ce.detail))
+        assert got == _naive_stabilizes_scan(g, c), (g.edges, c)
+
+
+def _higher_end_outdegrees(g):
+    """The outdegrees of the acyclic orientation that points each edge at
+    its higher end: total m."""
+    return [sum(u > v for u in g.adjacency[v]) for v in range(g.n)]
+
+
+class TestThresholdTheory:
+    """The statements that bracket the tight threshold 3m - n + 1 on a
+    connected graph with n >= 2, checked on the engine's own scans."""
+
+    @given(small_connected_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_fewer_than_m_candies_stabilize(self, g):
+        # a parallel round is a legal sequence of single firings, and a
+        # chip-firing game with fewer chips than edges is finite
+        # (Bjorner-Lovasz-Shor), so every total below m stabilizes
+        for c in range(len(g.edges)):
+            assert cf.exhaustive_verify(g, c, "stabilizes").passed, (g.edges, c)
+
+    @pytest.mark.parametrize("g", [
+        cf.generate("cycle", 300),
+        cf.generate("complete", 30),
+        cf.generate("random_tree", 250, seed=1),
+        cf.generate("random_connected", 200, p=0.05, seed=3),
+    ], ids=lambda g: f"n{g.n}m{len(g.edges)}")
+    def test_orientation_witnesses_at_m_and_3m_minus_n(self, g):
+        self._assert_witness_pair(g)
+
+    @given(small_connected_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_orientation_witnesses_on_small_graphs(self, g):
+        self._assert_witness_pair(g)
+        # so the least failing total is m: below it every scan passes
+        assert not cf.exhaustive_verify(g, len(g.edges), "stabilizes").passed
+
+    @staticmethod
+    def _assert_witness_pair(g):
+        # the outdegrees of an acyclic orientation fire by edge reversal,
+        # where every vertex fires infinitely often and the schedule is
+        # periodic (Barbosa-Gafni); the complement 2d - 1 - sigma fires on
+        # exactly the complementary rounds, so its orbit has the same
+        # preperiod and period
+        m = len(g.edges)
+        sigma = _higher_end_outdegrees(g)
+        complement = [2 * d - 1 - s for d, s in zip(g.degree, sigma)]
+        assert (sum(sigma), sum(complement)) == (m, 3 * m - g.n)
+        outcome = cf.classify(g, sigma)
+        assert isinstance(outcome, cf.EventuallyPeriodic)
+        assert cf.classify(g, complement) == outcome
 
 
 def test_library_writes_nothing_to_stdout(capsys, c3, c4):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import chipfire as cf
 from chipfire import parallel
 from chipfire.errors import ResourceExhausted, SizeMismatch
-from chipfire.parallel import _default_state_cap, _record_orbit
+from chipfire.parallel import DEFAULT_STATE_CAP, _default_state_cap, _record_orbit
 from chipfire.sequential import seq_run
 
 from conftest import naive_orbit, naive_round, neighbor_map
@@ -347,6 +347,30 @@ class TestAgainstReference:
         with mock.patch.object(parallel, "_BRENT_BUDGET_FACTOR", 100_000):
             for cap in {1, 2, max(1, rounds // 2), rounds, rounds + 1}:
                 assert _record_orbit(g, candy, cap) == full
+
+    @given(graph_and_config(max_candy=6))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_at_the_cap_boundary(self, gc):
+        # the orbit has L = preperiod + period distinct states: a cap of L
+        # or more maps them all and meets the repeat, a smaller cap stops
+        # the walk at round cap with cap states mapped and hands over to
+        # _brent; neither moves the outcome or the record
+        g, candy = gc
+        candy = tuple(candy)
+        preperiod, period = naive_orbit(g, candy)
+        size = preperiod + period
+        budget = 100_000
+        states, fired, *found = parallel._walk(g, candy, DEFAULT_STATE_CAP, budget)
+        assert found[:2] == [preperiod, period]
+        assert len(states) == size + 1 and states[-1] == found[2] == states[preperiod]
+        with mock.patch.object(parallel, "_BRENT_BUDGET_FACTOR", budget):
+            record = _record_orbit(g, candy)
+            for cap in {1, size - 1, size, size + 1} - {0}:
+                walk = parallel._walk(g, candy, cap, budget)
+                rounds = min(cap, size)
+                assert walk == (states[:rounds + 1], fired[:rounds], *found), cap
+                assert cf.classify(g, candy, cap, budget) == cf.classify(g, candy), cap
+                assert _record_orbit(g, candy, cap) == record, cap
 
     @given(graph_and_config())
     @settings(max_examples=100)
