@@ -751,7 +751,7 @@ class TestThresholdTheory:
         # a parallel round is a legal sequence of single firings, and a
         # chip-firing game with fewer chips than edges is finite
         # (Bjorner-Lovasz-Shor), so every total below m stabilizes
-        for c in range(len(g.edges)):
+        for c in range(g.m):
             assert cf.exhaustive_verify(g, c, "stabilizes").passed, (g.edges, c)
 
     @pytest.mark.parametrize("g", [
@@ -759,7 +759,7 @@ class TestThresholdTheory:
         cf.generate("complete", 30),
         cf.generate("random_tree", 250, seed=1),
         cf.generate("random_connected", 200, p=0.05, seed=3),
-    ], ids=lambda g: f"n{g.n}m{len(g.edges)}")
+    ], ids=lambda g: f"n{g.n}m{g.m}")
     def test_orientation_witnesses_at_m_and_3m_minus_n(self, g):
         self._assert_witness_pair(g)
 
@@ -768,7 +768,7 @@ class TestThresholdTheory:
     def test_orientation_witnesses_on_small_graphs(self, g):
         self._assert_witness_pair(g)
         # so the least failing total is m: below it every scan passes
-        assert not cf.exhaustive_verify(g, len(g.edges), "stabilizes").passed
+        assert not cf.exhaustive_verify(g, g.m, "stabilizes").passed
 
     @staticmethod
     def _assert_witness_pair(g):
@@ -777,7 +777,7 @@ class TestThresholdTheory:
         # periodic (Barbosa-Gafni); the complement 2d - 1 - sigma fires on
         # exactly the complementary rounds, so its orbit has the same
         # preperiod and period
-        m = len(g.edges)
+        m = g.m
         sigma = _higher_end_outdegrees(g)
         complement = [2 * d - 1 - s for d, s in zip(g.degree, sigma)]
         assert (sum(sigma), sum(complement)) == (m, 3 * m - g.n)
