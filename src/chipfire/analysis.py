@@ -585,12 +585,26 @@ def _stabilizes_scan(g: Graph, c: int):
     with the scan's caps (_walk) and passes it when the walk ends at a fixed
     point, with no Configuration and no outcome built.  An orbit that does
     not stabilize is classified as a Configuration of c, and its witness is
-    the least state of its cycle."""
+    the least state of its cycle.
+
+    Lex-order exit: once the check has been called on the lex-least
+    composition (0, ..., 0, c), it is taken to be called in a scan (the
+    ScanFn contract), and each walk passes at its first state below the
+    composition it started from.  Every state has total c, so that state
+    is a composition the scan has already passed.  A state on a cycle is
+    never one, so a failing composition's walk, and its witness, are the
+    same as without the exit.  A check called first on any other
+    composition walks every orbit whole."""
     cap = _default_state_cap()
     budget = _BRENT_BUDGET_FACTOR * cap
+    least = (0,) * (g.n - 1) + (c,)
+    scanning = False
 
     def check(comp) -> Optional[dict]:
-        if _walk(g, comp, cap, budget)[3] == 1:
+        nonlocal scanning
+        scanning = scanning or comp == least
+        walk = _walk(g, comp, cap, budget, comp if scanning else ())
+        if walk is None or walk[3] == 1:
             return None
         outcome = classify(g, Configuration(comp, c), cap, budget)
         return {

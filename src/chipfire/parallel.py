@@ -268,7 +268,7 @@ def _default_state_cap(state_cap=None, step_cap=None) -> int:
     return state_cap
 
 
-def _walk(g: Graph, candy, cap, budget):
+def _walk(g: Graph, candy, cap, budget, floor=()):
     """Step the orbit of candy once, up to its first repeated state.
 
     Returns (states, fired, preperiod, period, entry): states[t] is the
@@ -277,6 +277,11 @@ def _walk(g: Graph, candy, cap, budget):
     maps a new state to its round and hands back the round of a repeated
     one.  Once cap states are mapped the walk stops at round cap and
     _brent, within budget steps, finds the rest.
+
+    A walk with a floor returns None at the first state below it (plain
+    tuple order), before that state is hashed; a "stabilizes" scan passes
+    such a state's orbit already.  The default floor, (), is below every
+    state, so a walk without one never stops there.
     """
     adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
     seen = {candy: 0}  # insertion order is orbit order
@@ -285,6 +290,8 @@ def _walk(g: Graph, candy, cap, budget):
     x = candy
     for t in range(1, cap + 1):
         x, f = _step_raw(adjacency, degree, fire_at, x)
+        if x < floor:
+            return None
         fired.append(f)
         preperiod = mark(x, t)
         if preperiod != t:

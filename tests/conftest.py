@@ -10,6 +10,7 @@ from math import comb
 import pytest
 
 import chipfire as cf
+from chipfire import parallel
 from chipfire.rng import mix64
 
 
@@ -55,6 +56,19 @@ def naive_orbit(g, candy, limit=100_000):
         assert t <= limit, "orbit blew past the test limit"
     first = seen[tuple(x)]
     return first, t - first
+
+
+def count_steps(monkeypatch):
+    """Count the rounds stepped through parallel's module-global kernel."""
+    calls = [0]
+    kernel = parallel._step_raw
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(parallel, "_step_raw", counted)
+    return calls
 
 
 def reference_unrank(n, c, rank):

@@ -1,6 +1,7 @@
 """Claim-level checks, the battery, corpus drivers, and experiment CSVs."""
 
 from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from chipfire.analysis import (
     SWEEP_COLUMNS,
 )
 from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted
-from conftest import naive_orbit, naive_round, neighbor_map
+from conftest import count_steps, naive_orbit, naive_round, neighbor_map
 
 
 def test_check_order_covers_battery(c3):
@@ -735,6 +736,45 @@ def test_stabilizes_scan_matches_the_reference_simulator(g):
         assert got == _naive_stabilizes_scan(g, c), (g.edges, c)
 
 
+def _steps_to_a_passed_state(g, comp):
+    """The rounds a scan's walk of comp steps, by the reference simulator:
+    up to its first state below comp, or else to its first repeat."""
+    neighbors = neighbor_map(g)
+    seen = {comp}
+    x, t = comp, 0
+    while True:
+        x, _fired = naive_round(neighbors, list(x))
+        x, t = tuple(x), t + 1
+        if x < comp or x in seen:
+            return t
+        seen.add(x)
+
+
+@given(small_connected_graphs())
+@settings(max_examples=6, deadline=None)
+def test_scan_walks_stop_at_the_first_passed_state(g):
+    # each walk after the lex-least composition's stops at its first state
+    # below the composition, which the scan has passed; the failing
+    # composition is walked whole and then classified, so walked twice
+    for c in range(cf.stabilization_threshold(g) + 2):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_steps(mp)
+            res = cf.exhaustive_verify(g, c, "stabilizes")
+        comps = list(islice(_lex_compositions(g.n, c), res.configs_checked))
+        expected = sum(_steps_to_a_passed_state(g, comp) for comp in comps)
+        if not res.passed:
+            expected += sum(naive_orbit(g, comps[-1]))
+        assert calls[0] == expected, (g.edges, c)
+
+
+def test_one_composition_check_walks_its_whole_orbit(c4):
+    # (2, 0, 2, 0) steps to (0, 2, 0, 2), a lower state; only a scan that
+    # began at (0, 0, 0, 4) has passed it, so a check of the one
+    # composition must not stop there
+    assert cf.NAMED_CHECKS["stabilizes"](c4, (2, 0, 2, 0)) == {
+        "kind": "periodic", "preperiod": 0, "period": 2, "witness_config": (0, 2, 0, 2)}
+
+
 def _higher_end_outdegrees(g):
     """The outdegrees of the acyclic orientation that points each edge at
     its higher end: total m."""
@@ -769,6 +809,28 @@ class TestThresholdTheory:
         self._assert_witness_pair(g)
         # so the least failing total is m: below it every scan passes
         assert not cf.exhaustive_verify(g, g.m, "stabilizes").passed
+
+    @pytest.mark.parametrize("g", [
+        cf.Graph.build(2, [(0, 1)]),
+        cf.Graph.build(3, [(0, 1), (1, 2)]),
+        cf.Graph.build(3, [(0, 1), (1, 2), (0, 2)]),
+        cf.Graph.build(4, [(0, 1), (1, 2), (2, 3)]),
+        cf.Graph.build(4, [(0, 1), (0, 2), (0, 3)]),
+        cf.Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        cf.Graph.build(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+        cf.Graph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        cf.Graph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        cf.generate("cycle", 5),
+        cf.generate("path", 5),
+        cf.generate("star", 5),
+    ], ids=lambda g: f"n{g.n}m{g.m}-" + "-".join(f"{u}{w}" for u, w in g.edges))
+    def test_tight_threshold_on_small_graphs(self, g):
+        # every connected graph on 2 to 4 vertices, and three on 5: every
+        # total from 3m - n + 1 up to 4m - n stabilizes, and 3m - n does not.
+        # Stabilization is not monotone in c on any of them, so that is
+        # not asserted
+        probe = cf.threshold_probe(g, 4 * g.m - g.n)
+        assert probe.c_star == 3 * g.m - g.n + 1
 
     @staticmethod
     def _assert_witness_pair(g):

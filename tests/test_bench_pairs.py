@@ -170,3 +170,59 @@ def test_attempted_quartiles_show_the_solves_behind_a_memory_rise(bench_pairs):
     assert summary["change"]["attempted_per_run"] == {"median": 39, "q1": 38.5, "q3": 39.5}
     # a side without a result has no quartiles
     assert bench_pairs.summarize([(pairs[0][0], None)], {})["change"]["attempted_per_run"] is None
+
+
+def _solve_pairs(parent, change):
+    return [(_run({"solve_s": p}), _run({"solve_s": c})) for p, c in zip(parent, change)]
+
+
+SOLVE_SPEC = {"solve_s": SPEC["solve_s"]}
+# ten parent solve_s medians with quartiles 1.45 and 1.55
+PARENT_SOLVE = [1.40, 1.44, 1.45, 1.45, 1.50, 1.50, 1.55, 1.55, 1.56, 1.60]
+
+
+def test_claim_rule_needs_nine_wins_in_ten(bench_pairs):
+    # nine pairs won, the tenth lost, and a median gain of 0.2 s against the
+    # parent's interquartile range of 0.1 s: the claim holds
+    change = [p - 0.2 for p in PARENT_SOLVE[:9]] + [1.7]
+    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    assert (solve["wins"], solve["losses"]) == (9, 1)
+    assert solve["parent"]["q3"] - solve["parent"]["q1"] == pytest.approx(0.1)
+    assert solve["nine_in_ten"] is True and solve["beyond_parent_iqr"] is True
+    # eight won: not enough, however large the gain
+    change = [p - 0.2 for p in PARENT_SOLVE[:8]] + [1.7, 1.7]
+    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    assert solve["nine_in_ten"] is False and solve["beyond_parent_iqr"] is True
+    # a pair whose change run gave no result counts against the change
+    pairs = _solve_pairs(PARENT_SOLVE, [p - 0.2 for p in PARENT_SOLVE])
+    pairs[0] = (pairs[0][0], None)
+    solve = bench_pairs.summarize(pairs, SOLVE_SPEC)["metrics"]["solve_s"]
+    assert solve["wins"] == 9 and solve["nine_in_ten"] is True
+    pairs[1] = (pairs[1][0], None)
+    assert bench_pairs.summarize(pairs, SOLVE_SPEC)["metrics"]["solve_s"]["nine_in_ten"] is False
+
+
+def test_claim_rule_needs_a_median_gain_past_the_parent_iqr(bench_pairs):
+    # every pair won by 0.05 s, inside the parent's 0.1 s interquartile range
+    change = [p - 0.05 for p in PARENT_SOLVE]
+    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    assert solve["wins"] == 10
+    assert solve["nine_in_ten"] is True and solve["beyond_parent_iqr"] is False
+    # a gain as large as that range, in the wrong direction, is no gain
+    change = [p + 0.2 for p in PARENT_SOLVE]
+    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    assert solve["nine_in_ten"] is False and solve["beyond_parent_iqr"] is False
+
+
+def test_claim_rule_reads_the_direction(bench_pairs):
+    # configs_per_s is better higher: a rise past the parent's spread is a gain
+    parent = [{"solve_s": 1.0, "configs_per_s": 1000.0 + 10 * i, "peak_rss_mb": 25.0}
+              for i in range(10)]
+    change = [{**p, "configs_per_s": p["configs_per_s"] + 200} for p in parent]
+    metrics = bench_pairs.summarize([(_run(p), _run(c)) for p, c in zip(parent, change)],
+                                    SPEC)["metrics"]
+    assert metrics["configs_per_s"]["nine_in_ten"] is True
+    assert metrics["configs_per_s"]["beyond_parent_iqr"] is True
+    # ties win nothing
+    assert metrics["solve_s"]["nine_in_ten"] is False
+    assert metrics["solve_s"]["beyond_parent_iqr"] is False

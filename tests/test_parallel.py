@@ -13,7 +13,7 @@ from chipfire.errors import ResourceExhausted, SizeMismatch
 from chipfire.parallel import DEFAULT_STATE_CAP, _default_state_cap, _record_orbit
 from chipfire.sequential import seq_run
 
-from conftest import naive_orbit, naive_round, neighbor_map
+from conftest import count_steps, naive_orbit, naive_round, neighbor_map
 
 
 def test_configuration_rejects_negative():
@@ -249,22 +249,9 @@ def test_negative_step_cap_is_a_value_error(c4):
         cf.classify(c4, [2, 0, 2, 0], state_cap=1, step_cap=0)
 
 
-def _count_steps(monkeypatch):
-    """Count the rounds stepped through parallel's module-global kernel."""
-    calls = [0]
-    kernel = parallel._step_raw
-
-    def counted(*args):
-        calls[0] += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(parallel, "_step_raw", counted)
-    return calls
-
-
 @pytest.mark.parametrize("walk", [cf.classify, cf.verify_battery], ids=lambda f: f.__name__)
 def test_one_walk_per_configuration(walk, monkeypatch, c3, c4):
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     walk(c4, [2, 0, 2, 0])  # preperiod 0, period 2: the second period is copied
     assert calls[0] == 2
     calls[0] = 0
@@ -273,7 +260,7 @@ def test_one_walk_per_configuration(walk, monkeypatch, c3, c4):
 
 
 def test_run_steps_each_recorded_round_once(monkeypatch, c3):
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     for max_rounds in range(6):
         calls[0] = 0
         cf.run(c3, [9, 0, 0], max_rounds)
@@ -371,6 +358,26 @@ class TestAgainstReference:
                 assert walk == (states[:rounds + 1], fired[:rounds], *found), cap
                 assert cf.classify(g, candy, cap, budget) == cf.classify(g, candy), cap
                 assert _record_orbit(g, candy, cap) == record, cap
+
+    @given(graph_and_config(max_candy=6))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_stops_at_the_first_state_below_its_floor(self, gc):
+        # with its start as the floor, the walk gives None exactly when a
+        # state it steps to, before the cap, is below the start; otherwise
+        # it is the walk without a floor.  A walk stopped there hands
+        # nothing to _brent, so a step budget of 0 is never spent
+        g, candy = gc
+        candy = tuple(candy)
+        size = sum(naive_orbit(g, candy))
+        states = parallel._walk(g, candy, DEFAULT_STATE_CAP, 100_000)[0]
+        for cap in {1, size - 1, size, size + 1} - {0}:
+            below = any(x < candy for x in states[1:min(cap, size) + 1])
+            walk = parallel._walk(g, candy, cap, 100_000, candy)
+            if below:
+                assert walk is None, cap
+                assert parallel._walk(g, candy, cap, 0, candy) is None, cap
+            else:
+                assert walk == parallel._walk(g, candy, cap, 100_000), cap
 
     @given(graph_and_config())
     @settings(max_examples=100)

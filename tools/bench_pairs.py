@@ -23,6 +23,12 @@ as many solves as fit in its time, so a faster change runs more of them,
 and a ``peak_rss_mb`` rise that comes with more solves per run points at
 what the harness keeps per solve rather than at the package.
 
+Each metric also reports the rule a claimed gain must meet: whether the
+change won at least nine pairs in ten (``nine_in_ten``, over every pair
+run, so a pair with a side that gave no result counts against it), and
+whether the change median is better than the parent median by more than
+the parent's interquartile range, q3 - q1 (``beyond_parent_iqr``).
+
 The summary is one JSON document on stdout, with the seeds, each
 checkout's ``git rev-parse HEAD`` and whether its tracked files differ
 from that commit (``dirty``, from ``git status --porcelain
@@ -76,9 +82,9 @@ def quartiles(values: list[float]) -> dict | None:
 
 def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
     """One workload's summary: per end-to-end metric, each side's median
-    and quartiles, the pairs the change won, and whether the change median
-    is worse than the parent's by more than the metric's bound; per side,
-    the failures.  spec maps each metric to its ``BENCHMARK.json`` entry."""
+    and quartiles, the pairs the change won, whether the change median is
+    worse than the parent's by more than the metric's bound, and whether a
+    gain meets the claim rule; per side, the failures.  spec maps each metric to its ``BENCHMARK.json`` entry."""
     metrics = {}
     for name, entry in spec.items():
         direction = entry["better"]
@@ -100,9 +106,18 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
         over_bound = False
         if shift is not None and bound is not None:
             over_bound = (shift if direction == "lower" else -shift) > bound
+        # the claim rule: the change wins at least nine pairs in ten, and
+        # its median is better than the parent's by more than the parent's
+        # interquartile range
+        beyond_iqr = False
+        if parent and change:
+            gain = change["median"] - parent["median"]
+            beyond_iqr = (-gain if direction == "lower" else gain) > parent["q3"] - parent["q1"]
         metrics[name] = {"better": direction, "parent": parent, "change": change,
                          "shift": shift, "wins": wins, "losses": losses, "bound": bound,
-                         "over_bound": over_bound}
+                         "over_bound": over_bound,
+                         "nine_in_ten": bool(pairs) and 10 * wins >= 9 * len(pairs),
+                         "beyond_parent_iqr": beyond_iqr}
     sides = {}
     for side, index in (("parent", 0), ("change", 1)):
         runs = [pair[index] for pair in pairs]
