@@ -32,6 +32,7 @@ scalar test (z >> 11) < p * 2^53 with bar = ceil(p * 2^53) << 11.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _MASK = (1 << 64) - 1
@@ -39,10 +40,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 CHUNK = 4096  # draws per big int: 64 KB a lane-packed int
-_ONE = int.from_bytes((b"\x01" + bytes(15)) * CHUNK, "little")
-_LOW = _ONE * _MASK
-# G * RAMP: G * i in lane i
-_STEP = int.from_bytes(b"".join((i * _GOLDEN).to_bytes(16, "little") for i in range(CHUNK)), "little")
+
+
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """(ONE, LOW, G * RAMP) over CHUNK lanes, 64 KB each, built at the
+    first chances() call, so a process that draws no coins holds none."""
+    one = int.from_bytes((b"\x01" + bytes(15)) * CHUNK, "little")
+    ramp = b"".join((i * _GOLDEN).to_bytes(16, "little") for i in range(CHUNK))
+    return one, one * _MASK, int.from_bytes(ramp, "little")
 
 
 def mix64(z: int) -> int:
@@ -117,8 +123,9 @@ class SplitMix64:
         else:
             bar = math.ceil(f) << 11
         drop = 128 * (CHUNK - count)
-        one, low = _ONE >> drop, _LOW >> drop
-        step = _STEP & ((1 << 128 * count) - 1)
+        one, low, step = _lanes()
+        one, low = one >> drop, low >> drop
+        step &= (1 << 128 * count) - 1
         z = (((self._state + _GOLDEN) & _MASK) * one + step) & low
         self._state = (self._state + count * _GOLDEN) & _MASK
         z = ((z ^ ((z >> 30) & low)) * _MIX1) & low

@@ -1,5 +1,8 @@
 """Known-answer and distribution tests for the seeded RNG."""
 
+import subprocess
+import sys
+
 from hypothesis import example, given, settings, strategies as st
 
 import pytest
@@ -134,3 +137,11 @@ def test_chances_rejects_counts_outside_one_chunk(count):
     with pytest.raises(ValueError):
         rng.chances(0.5, count)
     assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
+def test_lane_constants_are_built_at_the_first_draw():
+    # a process that draws no coins (an exhaustive scan, a long game) does
+    # not hold the three 64 KB lane constants
+    code = ("import chipfire, chipfire.rng as rng; assert rng._lanes.cache_info().currsize == 0; "
+            "rng.SplitMix64(1).chances(0.5, 3); assert rng._lanes.cache_info().currsize == 1")
+    subprocess.run([sys.executable, "-c", code], check=True)
