@@ -40,12 +40,15 @@ exhaustive scan hands each composition to the battery as
 Configuration(comp, c), valid by construction.  The named checks of
 oracle.exhaustive_verify, and so threshold_probe's scan of each total,
 work the same way: each is set up once per scan (_NAMED_SCANS: the
-threshold refusal, the gate and the state cap), and its check trusts each
-enumerated composition: "stabilizes" walks it once with the scan's caps
-(parallel._walk) and classifies it only when it does not stabilize, and
-the families and the battery take it as Configuration(comp, c) to their
-folds.  NAMED_CHECKS[name](g, comp) validates its one composition and
-runs the same set-up and check on it.  A name is resolved through
+threshold refusal, the gate and the state cap), and its check trusts
+each enumerated composition: "stabilizes" walks it once with the scan's
+caps (parallel._walk) and classifies it only when it does not stabilize,
+and the families and the battery take it as Configuration(comp, c) to
+their folds.  A scan calls its check in ascending lex order from the
+lex-least composition and stops at the first failure, so a "stabilizes"
+walk in a scan stops, passed, at its first state below its composition
+(the lex-order exit).  NAMED_CHECKS[name](g, comp) validates its one
+composition and runs the same set-up and check on it.  A name is resolved through
 _NAMED_SCANS, which NAMED_CHECKS is built from, so replacing an entry of
 NAMED_CHECKS does not change what a scan runs.
 

@@ -25,7 +25,11 @@ exhaustive_verify sets a registered check up once per scan, after the
 first composition is drawn: its threshold refusal, graph gate and state
 cap (CHIPFIRE_STATE_CAP is read then, once per scan, not once per
 process).  Each composition the enumeration yields is valid by
-construction and goes to the check as it is.
+construction and goes to the check as it is.  The scan calls the check
+on the compositions in ascending lex order, from the lex-least on, and
+stops at the first failure, so a check may take every composition below
+the current one as passed: the "stabilizes" check stops a walk at its
+first such state.
 """
 
 from __future__ import annotations
@@ -258,7 +262,10 @@ class ExhaustiveResult:
 
 CheckFn = Callable[[Graph, tuple[int, ...]], Optional[dict]]
 # a check's set-up for one scan: (g, c) -> the check of one composition of
-# c on g, returning None on pass and a detail dict on failure
+# c on g, returning None on pass and a detail dict on failure.  In a scan
+# the check is called on the compositions in ascending lex order, from
+# the lex-least (0, ..., 0, c) on, and not again after the first failure;
+# a check may rely on that once it has seen (0, ..., 0, c)
 ScanFn = Callable[[Graph, int], Callable[[tuple[int, ...]], Optional[dict]]]
 
 
@@ -283,9 +290,12 @@ def exhaustive_verify(
     """Apply a check to every composition of c on g, in lexicographic order.
 
     check is a registered name (one of analysis.NAMED_CHECKS) or a
-    callable returning None on pass and a detail dict on failure.
-    Scanning stops at the first failure, which is therefore the
-    minimal-rank one.  A registered name is resolved through
+    callable returning None on pass and a detail dict on failure.  The
+    check is called on the compositions in ascending lex order, from
+    (0, ..., 0, c) on, and scanning stops at the first failure, which is
+    therefore the minimal-rank one and has every composition below it
+    passed (a "stabilizes" walk stops, passed, at a state below its
+    composition).  A registered name is resolved through
     analysis._NAMED_SCANS, the registry NAMED_CHECKS is built from, so
     replacing an entry of NAMED_CHECKS does not change a scan.  It is set
     up once per scan (its threshold refusal, graph gate and state cap),

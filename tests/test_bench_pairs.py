@@ -172,45 +172,42 @@ def test_attempted_quartiles_show_the_solves_behind_a_memory_rise(bench_pairs):
     assert bench_pairs.summarize([(pairs[0][0], None)], {})["change"]["attempted_per_run"] is None
 
 
-def _solve_pairs(parent, change):
-    return [(_run({"solve_s": p}), _run({"solve_s": c})) for p, c in zip(parent, change)]
-
-
-SOLVE_SPEC = {"solve_s": SPEC["solve_s"]}
 # ten parent solve_s medians with quartiles 1.45 and 1.55
 PARENT_SOLVE = [1.40, 1.44, 1.45, 1.45, 1.50, 1.50, 1.55, 1.55, 1.56, 1.60]
 
 
+def _solve_claim(bench_pairs, change):
+    """The solve_s summary of PARENT_SOLVE against change, pair by pair; a
+    None in change is a run that gave no result."""
+    pairs = [(_run({"solve_s": p}), c and _run({"solve_s": c}))
+             for p, c in zip(PARENT_SOLVE, change)]
+    return bench_pairs.summarize(pairs, {"solve_s": SPEC["solve_s"]})["metrics"]["solve_s"]
+
+
 def test_claim_rule_needs_nine_wins_in_ten(bench_pairs):
+    faster = [p - 0.2 for p in PARENT_SOLVE]
     # nine pairs won, the tenth lost, and a median gain of 0.2 s against the
     # parent's interquartile range of 0.1 s: the claim holds
-    change = [p - 0.2 for p in PARENT_SOLVE[:9]] + [1.7]
-    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    solve = _solve_claim(bench_pairs, faster[:9] + [1.7])
     assert (solve["wins"], solve["losses"]) == (9, 1)
     assert solve["parent"]["q3"] - solve["parent"]["q1"] == pytest.approx(0.1)
     assert solve["nine_in_ten"] is True and solve["beyond_parent_iqr"] is True
     # eight won: not enough, however large the gain
-    change = [p - 0.2 for p in PARENT_SOLVE[:8]] + [1.7, 1.7]
-    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    solve = _solve_claim(bench_pairs, faster[:8] + [1.7, 1.7])
     assert solve["nine_in_ten"] is False and solve["beyond_parent_iqr"] is True
     # a pair whose change run gave no result counts against the change
-    pairs = _solve_pairs(PARENT_SOLVE, [p - 0.2 for p in PARENT_SOLVE])
-    pairs[0] = (pairs[0][0], None)
-    solve = bench_pairs.summarize(pairs, SOLVE_SPEC)["metrics"]["solve_s"]
+    solve = _solve_claim(bench_pairs, [None] + faster[1:])
     assert solve["wins"] == 9 and solve["nine_in_ten"] is True
-    pairs[1] = (pairs[1][0], None)
-    assert bench_pairs.summarize(pairs, SOLVE_SPEC)["metrics"]["solve_s"]["nine_in_ten"] is False
+    assert _solve_claim(bench_pairs, [None, None] + faster[2:])["nine_in_ten"] is False
 
 
 def test_claim_rule_needs_a_median_gain_past_the_parent_iqr(bench_pairs):
     # every pair won by 0.05 s, inside the parent's 0.1 s interquartile range
-    change = [p - 0.05 for p in PARENT_SOLVE]
-    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    solve = _solve_claim(bench_pairs, [p - 0.05 for p in PARENT_SOLVE])
     assert solve["wins"] == 10
     assert solve["nine_in_ten"] is True and solve["beyond_parent_iqr"] is False
     # a gain as large as that range, in the wrong direction, is no gain
-    change = [p + 0.2 for p in PARENT_SOLVE]
-    solve = bench_pairs.summarize(_solve_pairs(PARENT_SOLVE, change), SOLVE_SPEC)["metrics"]["solve_s"]
+    solve = _solve_claim(bench_pairs, [p + 0.2 for p in PARENT_SOLVE])
     assert solve["nine_in_ten"] is False and solve["beyond_parent_iqr"] is False
 
 

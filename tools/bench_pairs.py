@@ -84,7 +84,8 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
     """One workload's summary: per end-to-end metric, each side's median
     and quartiles, the pairs the change won, whether the change median is
     worse than the parent's by more than the metric's bound, and whether a
-    gain meets the claim rule; per side, the failures.  spec maps each metric to its ``BENCHMARK.json`` entry."""
+    gain meets the claim rule; per side, the failures.  spec maps each
+    metric to its ``BENCHMARK.json`` entry."""
     metrics = {}
     for name, entry in spec.items():
         direction = entry["better"]
@@ -106,9 +107,6 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
         over_bound = False
         if shift is not None and bound is not None:
             over_bound = (shift if direction == "lower" else -shift) > bound
-        # the claim rule: the change wins at least nine pairs in ten, and
-        # its median is better than the parent's by more than the parent's
-        # interquartile range
         beyond_iqr = False
         if parent and change:
             gain = change["median"] - parent["median"]
