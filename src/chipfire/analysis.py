@@ -33,24 +33,22 @@ scan reads the battery's rows (_battery_rows) without building a report,
 so it pays per configuration only for its walk and its folds.  The
 per-graph constants the folds read (the abundance bars 2 * deg, the
 short bars 2 * deg - 2, the edge endpoints as two columns) are cached on
-the Graph (twice_degree, short_bar, edge_ends).  The corpus drivers
-resolve the state cap once per scan, after the first configuration is
-drawn so that an enumeration or sampling error comes first, and an
-exhaustive scan hands each composition to the battery as
-Configuration(comp, c), valid by construction.  The named checks of
-oracle.exhaustive_verify, and so threshold_probe's scan of each total,
-work the same way: each is set up once per scan (_NAMED_SCANS: the
-threshold refusal, the gate and the state cap), and its check trusts
-each enumerated composition: "stabilizes" walks it once with the scan's
-caps (parallel._walk) and classifies it only when it does not stabilize,
-and the families and the battery take it as Configuration(comp, c) to
-their folds.  A scan calls its check in ascending lex order from the
-lex-least composition and stops at the first failure, so a "stabilizes"
-walk in a scan stops, passed, at its first state below its composition
-(the lex-order exit).  NAMED_CHECKS[name](g, comp) validates its one
-composition and runs the same set-up and check on it.  A name is resolved through
-_NAMED_SCANS, which NAMED_CHECKS is built from, so replacing an entry of
-NAMED_CHECKS does not change what a scan runs.
+the Graph (twice_degree, short_bar, edge_ends).
+
+verify_corpus, in both modes, and oracle.exhaustive_verify, and so
+threshold_probe's scan of each total, run one scan loop, oracle._scan,
+whose docstring states the scan contract.  Its checks are registered
+here (_NAMED_SCANS): each is set up once per scan (the threshold
+refusal, the gate and the state cap) and trusts each composition it is
+given: "stabilizes" walks it once with the scan's caps (parallel._walk)
+and classifies it only when it does not stabilize, and the families and
+the battery take it as Configuration(comp, c) to their folds.  In a lex
+order scan a "stabilizes" walk stops, passed, at its first state below
+its composition (the lex-order exit).  NAMED_CHECKS[name](g, comp)
+validates its one composition and runs the same set-up and check on it.
+A name is resolved through _NAMED_SCANS, which NAMED_CHECKS is built
+from, so replacing an entry of NAMED_CHECKS does not change what a scan
+runs.
 
 Checks report pass / fail / not_applicable; not_applicable means the
 claim's precondition is unmet and is never silently folded into pass.
@@ -64,7 +62,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from functools import partial
+from itertools import chain, islice
 from operator import attrgetter, ge, le, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -72,6 +71,7 @@ from .errors import Disconnected, InvalidGraph
 from .graph import Graph, stabilization_threshold
 from .oracle import (
     DEFAULT_ENUM_CAP,
+    _scan,
     compositions_count,
     enumerate_configs,
     exhaustive_verify,
@@ -565,11 +565,10 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
     return _report(rows, found, metadata)
 
 
-def _cycle_states(g: Graph, start: tuple[int, ...], preperiod: int, period: int):
+def _cycle_states(g: Graph, entry: tuple[int, ...], period: int):
+    """The period states of a cycle, stepped from its entry state."""
     adjacency, degree, fire_at = g.adjacency, g.degree, g.fire_at
-    x = tuple(start)
-    for _ in range(preperiod):
-        x, _f = _step_raw(adjacency, degree, fire_at, x)
+    x = entry
     states = []
     for _ in range(period):
         states.append(x)
@@ -588,16 +587,17 @@ def _stabilizes_scan(g: Graph, c: int):
     with the scan's caps (_walk) and passes it when the walk ends at a fixed
     point, with no Configuration and no outcome built.  An orbit that does
     not stabilize is classified as a Configuration of c, and its witness is
-    the least state of its cycle.
+    the least state of its cycle, stepped from the walk's cycle entry.
 
     Lex-order exit: once the check has been called on the lex-least
-    composition (0, ..., 0, c), it is taken to be called in a scan (the
-    ScanFn contract), and each walk passes at its first state below the
-    composition it started from.  Every state has total c, so that state
-    is a composition the scan has already passed.  A state on a cycle is
-    never one, so a failing composition's walk, and its witness, are the
-    same as without the exit.  A check called first on any other
-    composition walks every orbit whole."""
+    composition (0, ..., 0, c), it is taken to be called in a lex order
+    scan (oracle._scan's contract), and each walk passes at its first
+    state below the composition it started from.  Every state has total
+    c, so that state is a composition the scan has already passed.  A
+    state on a cycle is never one, so a failing composition's walk, and
+    its witness, are the same as without the exit, and the walk holds its
+    cycle entry.  A check called first on any other composition walks
+    every orbit whole."""
     cap = _default_state_cap()
     budget = _BRENT_BUDGET_FACTOR * cap
     least = (0,) * (g.n - 1) + (c,)
@@ -614,8 +614,7 @@ def _stabilizes_scan(g: Graph, c: int):
             "kind": "periodic",
             "preperiod": outcome.preperiod,
             "period": outcome.period,
-            "witness_config": min(
-                _cycle_states(g, comp, outcome.preperiod, outcome.period)),
+            "witness_config": min(_cycle_states(g, walk[4], outcome.period)),
         }
 
     return check
@@ -649,12 +648,13 @@ def _family_scan(name: str):
     return prepare
 
 
-def _battery_scan(g: Graph, c: int):
+def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
     """The set-up of a battery scan, whose check gives the first failing
-    row of the whole battery on each orbit."""
+    row of the whole battery on each orbit.  state_cap, when given,
+    overrides CHIPFIRE_STATE_CAP as in verify_corpus."""
     _gate(g)
     threshold = stabilization_threshold(g)
-    cap = _default_state_cap()
+    cap = _default_state_cap(state_cap)
 
     def check(comp) -> Optional[dict]:
         return _first_failure(_battery_rows(g, Configuration(comp, c), threshold, cap)[0])
@@ -709,54 +709,44 @@ def verify_corpus(
 
     mode "exhaustive" scans every composition in lexicographic order and
     stops at the first failing configuration (hence reports the minimal
-    one); mode "sampled" draws `trials` seeded configurations.  Each
-    configuration's verdict rows are read directly, with no report built:
-    a failing row already carries its counterexample.
+    one); mode "sampled" draws `trials` seeded configurations and stops
+    at the first failing draw.  Both are oracle._scan with the battery
+    scan as the check.  A row's aggregate is read off the failing
+    configuration's rows, or, when none fails, off c alone: not_applicable
+    is only ever a family's threshold refusal, which depends on c alone.
     """
     _gate(g)
     threshold = stabilization_threshold(g)
     d = g.diameter
     if mode == "exhaustive":
         total = compositions_count(g.n, c)
-        # every composition has total c and non-negative parts: no re-validation
-        stream: Iterable = map(Configuration, enumerate_configs(g.n, c, cap=enum_cap), repeat(c))
+        configs: Iterable = enumerate_configs(g.n, c, cap=enum_cap)
     elif mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
         total = trials
-        stream = (random_config(g.n, c, derive_seed(seed, i)) for i in range(trials))
+        configs = (random_config(g.n, c, derive_seed(seed, i)).candy for i in range(trials))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    columns = set()  # each distinct tuple of row statuses, in CHECK_ORDER
-    checked = 0
-    failing_config = None
-    cap = None
-    for config in stream:
-        # resolved after the first configuration, so enumeration errors come first
-        if cap is None:
-            cap = _default_state_cap(state_cap)
-        rows = _battery_rows(g, config, threshold, cap)[0]
-        checked += 1
-        statuses = tuple(map(_status, rows))
-        columns.add(statuses)
-        if FAIL in statuses:
-            failing_config = list(config.candy)
-            break
+    checked, failing, _ = _scan(g, c, configs, partial(_battery_scan, state_cap=state_cap))
+    if failing is None:
+        # with nothing checked every row is not_applicable; otherwise a row
+        # is not_applicable only by its family's threshold refusal
+        statuses = [
+            NOT_APPLICABLE if not checked or (family.above_threshold and c < threshold) else PASS
+            for family in _FAMILIES.values()
+            for _ in family.rows
+        ] + [PASS if checked else NOT_APPLICABLE]
+        rows = map(CheckResult, CHECK_ORDER, statuses)
+    else:
+        cap = _default_state_cap(state_cap)
+        rows = _battery_rows(g, Configuration(failing, c), threshold, cap)[0]
     agg = []
-    for i, name in enumerate(CHECK_ORDER):
-        seen = {col[i] for col in columns}
-        status = FAIL if FAIL in seen else PASS if PASS in seen else NOT_APPLICABLE
-        agg.append({"name": name, "status": status, "first_counterexample": None})
-    if failing_config is not None:
-        # the scan stopped at the first failing configuration: its rows are the failures
-        for slot, result in zip(agg, rows):
-            if result.status == FAIL:
-                slot["first_counterexample"] = {
-                    "config": list(failing_config),
-                    "index": checked - 1,
-                    **(result.counterexample or {}),
-                }
-    ok = failing_config is None
+    for row in rows:
+        ce = None
+        if row.status == FAIL:
+            ce = {"config": list(failing), "index": checked - 1, **(row.counterexample or {})}
+        agg.append({"name": row.name, "status": row.status, "first_counterexample": ce})
     return {
         "graph": {"n": g.n, "m": g.m, "diameter": d, "connected": g.connected},
         "c": c,
@@ -767,8 +757,8 @@ def verify_corpus(
         "seed": seed,
         "configs_total": total,
         "configs_checked": checked,
-        "ok": ok,
-        "first_failing_config": failing_config,
+        "ok": failing is None,
+        "first_failing_config": None if failing is None else list(failing),
         "checks": agg,
         "finite_check_note": FINITE_CHECK_NOTE,
     }
@@ -839,12 +829,17 @@ def sweep_experiment(
     return rows
 
 
-def sweep_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
+def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header line of columns, then one line per row, each newline-ended."""
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(str(row[col]) for col in SWEEP_COLUMNS))
+        lines.append(",".join(str(row[col]) for col in columns))
     lines.append("")  # the closing newline, without copying the joined text
     return "\n".join(lines)
+
+
+def sweep_csv(rows: list[dict]) -> str:
+    return _csv(SWEEP_COLUMNS, rows)
 
 
 @dataclass(frozen=True)
@@ -957,11 +952,7 @@ class SuiteResult:
 
 
 def suite_csv(rows: Sequence[dict]) -> str:
-    lines = [",".join(SUITE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in SUITE_COLUMNS))
-    lines.append("")  # the closing newline, without copying the joined text
-    return "\n".join(lines)
+    return _csv(SUITE_COLUMNS, rows)
 
 
 def random_instance_suite(

@@ -8,7 +8,7 @@ Exit codes, used consistently by every subcommand:
     2  simulation hit its round budget without reaching a fixed point
     3  verification found a counterexample
     4  a resource cap (orbit store, enumeration cap, graph size from a
-       spec) was exhausted
+       spec or a file) was exhausted
 
 All output is machine-first JSON or CSV with fixed key order and no
 timestamps; a run manifest is embedded so identical invocations produce
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ChipfireError, ResourceExhausted
-from .graph import Graph, generate, parse_edge_list, stabilization_threshold
+from .graph import Graph, _parse_edge_list, generate, stabilization_threshold
 from .oracle import DEFAULT_ENUM_CAP, random_config
 from .parallel import Configuration, StopReason, _default_state_cap, run, trace_csv
 from .analysis import (
@@ -42,14 +42,15 @@ EXIT_BUDGET = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_RESOURCE = 4
 
-# Largest graph a generator spec may ask for, checked before anything is
-# built.  Measured on one 2.1 GHz Xeon vCPU: random_tree:10000 builds in
-# 4.1 s and 30 MB (the reach bitsets hold n^2 bits, 12.5 MB per copy at
-# this cap), and the slowest sparse kind, path:10000, in 106 s.  complete
-# spends about 1.2 us and ~240 bytes on every vertex pair, an edge each:
-# complete:1000 builds in 0.6-0.7 s and 119-136 MB peak.  gnp draws its
-# coins in lane-packed chunks, about 0.14 us a pair: gnp:1000,0.01 walks
-# its 499 500 pairs in 0.07 s per G(n, p) attempt.
+# Largest graph a generator spec or an edge-list file may ask for, checked
+# before anything is built.  Measured on one 2.1 GHz Xeon vCPU:
+# random_tree:10000 builds in 4.1 s and 30 MB (the reach bitsets hold n^2
+# bits, 12.5 MB per copy at this cap), and the slowest sparse kind,
+# path:10000, in 106 s.  complete spends about 1.2 us and ~240 bytes on
+# every vertex pair, an edge each: complete:1000 builds in 0.6-0.7 s and
+# 119-136 MB peak.  gnp draws its coins in lane-packed chunks, about
+# 0.14 us a pair: gnp:1000,0.01 walks its 499 500 pairs in 0.07 s per
+# G(n, p) attempt.
 MAX_SPEC_VERTICES = 10_000
 MAX_SPEC_PAIRS = 500_000
 
@@ -108,7 +109,12 @@ def _parse_graph_source(source: str) -> Graph:
         text = Path(source).read_text()
     except OSError as e:
         raise _InputError(f"cannot read graph file {source!r}: {e}")
-    return parse_edge_list(text)
+    n, edges = _parse_edge_list(text)
+    if n > MAX_SPEC_VERTICES:
+        raise ResourceExhausted(
+            f"graph file {source!r} has {n} vertices; the cap is {MAX_SPEC_VERTICES}"
+        )
+    return Graph.build(n, edges)
 
 
 def _check_spec_size(source: str, kind: str, n: int) -> None:

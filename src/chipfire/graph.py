@@ -179,6 +179,12 @@ def parse_edge_list(text: str) -> Graph:
     duplicate edges, or ids outside a declared count, EmptyGraph when no
     vertices are described.
     """
+    return Graph.build(*_parse_edge_list(text))
+
+
+def _parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """parse_edge_list's (vertex count, edges), before the graph is built,
+    so a caller can refuse a count too large to build."""
     declared: Optional[int] = None
     edges: list[tuple[int, int]] = []
     max_id = -1
@@ -222,7 +228,7 @@ def parse_edge_list(text: str) -> Graph:
         if max_id >= declared:
             raise InvalidGraph(f"vertex id {max_id} exceeds declared count {declared}")
         n = declared
-    return Graph.build(n, edges)
+    return n, edges
 
 
 def generate(kind: str, n: int, p: Optional[float] = None, seed: int = 0) -> Graph:

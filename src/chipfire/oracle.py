@@ -21,15 +21,10 @@ tail(v), and otherwise galloping and bisection on tail find the part.
 Either way the cost per part is a few big-integer products and
 quotients, however large c is.
 
-exhaustive_verify sets a registered check up once per scan, after the
-first composition is drawn: its threshold refusal, graph gate and state
-cap (CHIPFIRE_STATE_CAP is read then, once per scan, not once per
-process).  Each composition the enumeration yields is valid by
-construction and goes to the check as it is.  The scan calls the check
-on the compositions in ascending lex order, from the lex-least on, and
-stops at the first failure, so a check may take every composition below
-the current one as passed: the "stabilizes" check stops a walk at its
-first such state.
+exhaustive_verify and analysis.verify_corpus share one scan loop, _scan,
+whose docstring states the scan contract (lex order from (0, ..., 0, c)
+over an enumeration, stop at the first failure, set up after the first
+draw).
 """
 
 from __future__ import annotations
@@ -262,10 +257,8 @@ class ExhaustiveResult:
 
 CheckFn = Callable[[Graph, tuple[int, ...]], Optional[dict]]
 # a check's set-up for one scan: (g, c) -> the check of one composition of
-# c on g, returning None on pass and a detail dict on failure.  In a scan
-# the check is called on the compositions in ascending lex order, from
-# the lex-least (0, ..., 0, c) on, and not again after the first failure;
-# a check may rely on that once it has seen (0, ..., 0, c)
+# c on g, returning None on pass and a detail dict on failure; _scan's
+# docstring states what the scan promises the check
 ScanFn = Callable[[Graph, int], Callable[[tuple[int, ...]], Optional[dict]]]
 
 
@@ -281,6 +274,40 @@ def _resolve_scan(check: Union[str, CheckFn]) -> ScanFn:
         raise ValueError(f"unknown check {check!r}; known: {known}") from None
 
 
+def _scan(g: Graph, c: int, configs, prepare) -> tuple[int, Optional[tuple], Optional[dict]]:
+    """Check the compositions of c on g that configs yields, in turn.
+
+    Returns (configs checked, the failing composition, its detail), the
+    last two None when none fails.  This is the one scan loop, and its
+    contract is the one every check relies on:
+
+    - prepare(g, c) sets the check up once per scan (its threshold
+      refusal, graph gate and state cap), after the first composition is
+      drawn, so that an enumeration error comes first and a scan that
+      draws nothing sets nothing up;
+    - the check is called on each composition as drawn, trusting it as
+      valid, and returns None on pass and a detail dict on failure;
+    - the scan stops at the first failure.
+
+    Over enumerate_configs the compositions come in ascending lex order,
+    from the lex-least (0, ..., 0, c) on, so the first failure is the
+    minimal-rank one and every composition below the current one has
+    passed: a "stabilizes" walk stops, passed, at its first state below
+    its composition (the lex-order exit).  A sampled stream is not in lex
+    order, and its check must not rely on that.
+    """
+    check = None
+    checked = 0
+    for comp in configs:
+        if check is None:
+            check = prepare(g, c)
+        checked += 1
+        detail = check(comp)
+        if detail is not None:
+            return checked, comp, detail
+    return checked, None, None
+
+
 def exhaustive_verify(
     g: Graph,
     c: int,
@@ -291,37 +318,21 @@ def exhaustive_verify(
 
     check is a registered name (one of analysis.NAMED_CHECKS) or a
     callable returning None on pass and a detail dict on failure.  The
-    check is called on the compositions in ascending lex order, from
-    (0, ..., 0, c) on, and scanning stops at the first failure, which is
-    therefore the minimal-rank one and has every composition below it
-    passed (a "stabilizes" walk stops, passed, at a state below its
-    composition).  A registered name is resolved through
+    scan is _scan over enumerate_configs, whose docstring states the scan
+    contract: lex order from (0, ..., 0, c), stop at the first failure,
+    set up after the first draw.  A registered name is resolved through
     analysis._NAMED_SCANS, the registry NAMED_CHECKS is built from, so
-    replacing an entry of NAMED_CHECKS does not change a scan.  It is set
-    up once per scan (its threshold refusal, graph gate and state cap),
-    after the first composition is drawn so that an enumeration error
-    comes first, and its check then trusts each enumerated composition
-    as valid.
+    replacing an entry of NAMED_CHECKS does not change a scan.
     """
-    prepare = _resolve_scan(check)
-    fn = None
-    checked = 0
-    for comp in enumerate_configs(g.n, c, cap=cap):
-        if fn is None:
-            fn = prepare(g, c)
-        detail = fn(comp)
-        checked += 1
-        if detail is not None:
-            witness = detail.get("witness_config", comp)
-            rest = {k: v for k, v in detail.items() if k != "witness_config"}
-            return ExhaustiveResult(
-                passed=False,
-                configs_checked=checked,
-                counterexample=Counterexample(
-                    config=tuple(witness),
-                    initial=comp,
-                    rank=checked - 1,
-                    detail=rest,
-                ),
-            )
-    return ExhaustiveResult(passed=True, configs_checked=checked, counterexample=None)
+    checked, comp, detail = _scan(
+        g, c, enumerate_configs(g.n, c, cap=cap), _resolve_scan(check))
+    if comp is None:
+        return ExhaustiveResult(passed=True, configs_checked=checked, counterexample=None)
+    witness = detail.get("witness_config", comp)
+    rest = {k: v for k, v in detail.items() if k != "witness_config"}
+    return ExhaustiveResult(
+        passed=False,
+        configs_checked=checked,
+        counterexample=Counterexample(
+            config=tuple(witness), initial=comp, rank=checked - 1, detail=rest),
+    )

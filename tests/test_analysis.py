@@ -443,6 +443,21 @@ class TestVerifyCorpus:
         assert out["ok"] and out["configs_checked"] == 25
         assert out["mode"] == "sampled"
 
+    @pytest.mark.parametrize("c", [4, 12])
+    def test_nothing_checked_is_not_applicable(self, c4, c):
+        # no draw: every row not_applicable, below and at the threshold
+        out = cf.verify_corpus(c4, c, mode="sampled", trials=0, seed=0)
+        assert out["ok"] and out["configs_checked"] == 0
+        assert [row["status"] for row in out["checks"]] == [NOT_APPLICABLE] * len(CHECK_ORDER)
+
+    def test_sampled_failure_after_the_first_draw(self, c4):
+        out = cf.verify_corpus(c4, 4, mode="sampled", trials=12, seed=1)
+        assert not out["ok"] and out["configs_checked"] == 3
+        assert out["first_failing_config"] == [2, 0, 1, 1]
+        by_name = {c["name"]: c for c in out["checks"]}
+        assert [row["name"] for row in out["checks"] if row["status"] == FAIL] == ["stabilizes"]
+        assert by_name["stabilizes"]["first_counterexample"]["index"] == 2
+
     def test_sampled_needs_seed_and_trials(self, c3):
         with pytest.raises(ValueError):
             cf.verify_corpus(c3, 9, mode="sampled")

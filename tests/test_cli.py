@@ -225,6 +225,28 @@ class TestParsing:
         assert built == [("path", n), ("star", n), ("complete", pairs_n),
                          ("random_connected", pairs_n)]
 
+    @pytest.mark.parametrize("text", [f"n {cli.MAX_SPEC_VERTICES + 1}\n",
+                                      f"0 {cli.MAX_SPEC_VERTICES}\n"],
+                             ids=["header", "largest-id"])
+    def test_oversized_files_exit_before_building(self, monkeypatch, tmp_path, capsys, text):
+        def no_build(n, edges):
+            raise AssertionError("an oversized file must not reach Graph.build")
+
+        monkeypatch.setattr(cli, "Graph", type("NoGraph", (), {"build": staticmethod(no_build)}))
+        src = tmp_path / "big.txt"
+        src.write_text(text)
+        assert main(["simulate", str(src), "random:5,0"]) == EXIT_RESOURCE
+        assert "the cap is" in capsys.readouterr().err
+
+    def test_file_at_the_cap_builds(self, tmp_path, capsys):
+        src = tmp_path / "wide.txt"
+        src.write_text(f"n {cli.MAX_SPEC_VERTICES}\n")
+        g = cli._parse_graph_source(str(src))
+        assert (g.n, g.m) == (cli.MAX_SPEC_VERTICES, 0)
+        # built, then refused by the analysis gate: isolated vertices
+        assert main(["sweep", str(src), "--c-values", "0", "--trials", "0"]) == EXIT_INPUT
+        assert "connected" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "chipfire" in capsys.readouterr().out

@@ -55,6 +55,16 @@ def test_verify_corpus_sampled_json():
     )
 
 
+def test_verify_corpus_sampled_failing_json():
+    # the sampled scan stops at its third draw, the first that fails
+    g = cf.generate("cycle", 4)
+    report = cf.verify_corpus(g, 4, mode="sampled", trials=12, seed=1)
+    assert report["checks"][-1]["first_counterexample"]["index"] == 2
+    assert _sha256(json.dumps(report, indent=2)) == (
+        "5716b244616efab741c515c6a065fd399b6d37f02f731e7555f1121afcbea067"
+    )
+
+
 def test_trace_csv_long_path_game():
     g = cf.generate("path", 30)
     c = cf.stabilization_threshold(g)  # 4m - n = 86, all of it on vertex 0
