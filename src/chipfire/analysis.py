@@ -83,6 +83,7 @@ from .parallel import (
     GameTrace,
     _coerce,
     _default_state_cap,
+    _complete_record,
     _record_orbit,
     _step_raw,
     _walk,
@@ -495,14 +496,20 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
 def _battery_rows(g: Graph, initial: Configuration, threshold: int, state_cap=None):
     """The battery's verdict rows on one orbit of a gated graph, in CHECK_ORDER.
 
-    Returns (rows, found, states, preperiod, period, rounds): the rows,
-    every pass the shared _PASSED row and every failure with its
-    counterexample; the values the folds found; and the record's states,
-    preperiod, period and number of rounds.  A corpus scan reads the rows
-    alone; verify_battery builds a report from the rest.
+    Returns (rows, found, states, preperiod, period, rounds): the rows and
+    the values the folds found (_battery_fold), and the record's states,
+    preperiod, period and number of rounds, from which verify_battery
+    builds its report.
     """
-    c = initial.total
     states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
+    rows, found = _battery_fold(g, initial.total, threshold, states, fired, preperiod, period)
+    return rows, found, states, preperiod, period, len(fired)
+
+
+def _battery_fold(g: Graph, c: int, threshold: int, states, fired, preperiod, period):
+    """The battery's (rows, found) folded over one record of an orbit: the
+    rows in CHECK_ORDER, every pass the shared _PASSED row and every
+    failure with its counterexample, and the values the folds found."""
     rows, found = [], {}
     for name in _FAMILIES:
         family_rows, meta = _fold(name, g, c, threshold, states, fired, preperiod, period)
@@ -517,14 +524,14 @@ def _battery_rows(g: Graph, initial: Configuration, threshold: int, state_cap=No
                 "stabilizes",
                 FAIL,
                 {
-                    "config": list(initial.candy),
+                    "config": list(states[0]),
                     "preperiod": preperiod,
                     "period": period,
                     "cycle_min": list(cycle_min),
                 },
             )
         )
-    return rows, found, states, preperiod, period, len(fired)
+    return rows, found
 
 
 def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
@@ -651,13 +658,62 @@ def _family_scan(name: str):
 def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
     """The set-up of a battery scan, whose check gives the first failing
     row of the whole battery on each orbit.  state_cap, when given,
-    overrides CHIPFIRE_STATE_CAP as in verify_corpus."""
+    overrides CHIPFIRE_STATE_CAP as in verify_corpus.
+
+    The check walks each composition once (_walk, with the scan's cap and
+    budget) and reads its verdict off that walk in one loop over its
+    states and fired tuples: conservation, no_gain and abundant_monotone
+    at every c; at c >= 4m - n also fired_nonempty, a nonempty
+    intersection of the fired sets (always_firing) and
+    surplus_pigeonhole.  A walk it passes ended at a fixed point
+    (stabilizes) within c rounds, so no pass-count gap can exceed c, and
+    its stab round is below c <= d * c (d >= 1 on a gated graph), so both
+    bound rows pass: that walk passes the whole battery.  Rows are built
+    only for a composition the loop does not settle: one that fails a
+    predicate, is periodic, stopped at the state cap or ran more than c
+    rounds.  They are the battery's folds over the record its one walk
+    completes (_complete_record), so the check walks no composition
+    twice, and it returns their first failure.
+    """
     _gate(g)
     threshold = stabilization_threshold(g)
     cap = _default_state_cap(state_cap)
+    budget = _BRENT_BUDGET_FACTOR * cap
+    above = c >= threshold
+    twice, short = g.twice_degree, g.short_bar
+    vertices = range(g.n)
+    everyone = set(vertices)
+
+    def passes(states, fired) -> bool:
+        prev = states[0]
+        if sum(prev) != c:
+            return False
+        for cur, f in zip(islice(states, 1, None), fired):
+            if sum(cur) != c:
+                return False
+            # only a vertex that gained can break no_gain (if it fired) or
+            # abundant_monotone (if it reached its bar)
+            for v in vertices:
+                if cur[v] > prev[v] and (v in f or cur[v] >= twice[v] > prev[v]):
+                    return False
+            prev = cur
+        if not above:
+            return True
+        if not all(fired) or not everyone.intersection(*fired):
+            return False
+        # the abundant sets only shrink, so a surplus in the last state is
+        # one in every state
+        return any(map(ge, prev, twice)) or not any(
+            any(map(le, s, short)) and not any(map(ge, s, twice)) for s in states
+        )
 
     def check(comp) -> Optional[dict]:
-        return _first_failure(_battery_rows(g, Configuration(comp, c), threshold, cap)[0])
+        walk = _walk(g, comp, cap, budget)
+        states, fired, preperiod, period, _ = walk
+        # a walk stopped at the cap holds fewer rounds than preperiod + 1
+        if period == 1 and len(fired) == preperiod + 1 <= c and passes(states, fired):
+            return None
+        return _first_failure(_battery_fold(g, c, threshold, *_complete_record(g, walk))[0])
 
     return check
 

@@ -326,16 +326,21 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
 
 
 def _record_orbit(g: Graph, init, state_cap=None):
-    """classify's _walk, completed into the record the checks fold over.
+    """classify's _walk, completed into the record the checks fold over."""
+    candy = _coerce(g, init)
+    cap = _default_state_cap(state_cap)
+    return _complete_record(g, _walk(g, candy, cap, _BRENT_BUDGET_FACTOR * cap))
+
+
+def _complete_record(g: Graph, walk):
+    """The record the checks fold over, completed from one _walk in place.
 
     Returns (states, fired, preperiod, period) as _walk does, through the
     round that detects a fixed point or through preperiod plus two periods
     of a cycle: a walk stopped at the cap steps on to its first repeat,
     then a cycle's second period is copied from the first, not stepped.
     """
-    candy = _coerce(g, init)
-    cap = _default_state_cap(state_cap)
-    states, fired, preperiod, period, _ = _walk(g, candy, cap, _BRENT_BUDGET_FACTOR * cap)
+    states, fired, preperiod, period, _ = walk
     while len(fired) < preperiod + period:  # the walk stopped at the cap
         x, f = _step_raw(g.adjacency, g.degree, g.fire_at, states[-1])
         states.append(x)
