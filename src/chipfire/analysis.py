@@ -28,12 +28,13 @@ passing row is one shared immutable CheckResult (_PASSED), and a failing
 row carries its counterexample.  Only a returned report carries details
 and metadata: _report adds the pass details (the always-firing witness,
 the stab_round within its bound) from the found values, and
-verify_battery adds its metadata, abundance counts included.  A corpus
-scan reads the battery's rows (_battery_rows) without building a report,
-so it pays per configuration only for its walk and its folds.  The
-per-graph constants the folds read (the abundance bars 2 * deg, the
-short bars 2 * deg - 2, the edge endpoints as two columns) are cached on
-the Graph (twice_degree, short_bar, edge_ends).
+verify_battery adds its metadata, abundance counts included.  A battery
+scan reads each composition's verdict off its one walk (_battery_scan)
+and folds rows (_battery_fold) only for a composition that fails or
+that the verdict loop cannot settle.  The per-graph constants the folds
+read (the abundance bars 2 * deg, the short bars 2 * deg - 2, the edge
+endpoints as two columns) are cached on the Graph (twice_degree,
+short_bar, edge_ends).
 
 verify_corpus, in both modes, and oracle.exhaustive_verify, and so
 threshold_probe's scan of each total, run one scan loop, oracle._scan,
@@ -41,9 +42,10 @@ whose docstring states the scan contract.  Its checks are registered
 here (_NAMED_SCANS): each is set up once per scan (the threshold
 refusal, the gate and the state cap) and trusts each composition it is
 given: "stabilizes" walks it once with the scan's caps (parallel._walk)
-and classifies it only when it does not stabilize, and the families and
-the battery take it as Configuration(comp, c) to their folds.  In a lex
-order scan a "stabilizes" walk stops, passed, at its first state below
+and classifies it only when it does not stabilize, the battery walks it
+once the same way and reads its verdict off the walk, and the families
+take it as Configuration(comp, c) to their folds.  In a lex order scan
+a "stabilizes" walk stops, passed, at its first state below
 its composition (the lex-order exit).  NAMED_CHECKS[name](g, comp)
 validates its one composition and runs the same set-up and check on it.
 A name is resolved through _NAMED_SCANS, which NAMED_CHECKS is built
@@ -82,8 +84,8 @@ from .parallel import (
     Configuration,
     GameTrace,
     _coerce,
-    _default_state_cap,
     _complete_record,
+    _default_state_cap,
     _record_orbit,
     _step_raw,
     _walk,
@@ -542,8 +544,7 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
     oscillating ones, which exercises every reachable state of the orbit.
     state_cap bounds the walk's visited map as it bounds classify's.  The
     folds return verdict rows; only this returned report carries the pass
-    details and the metadata, so a corpus scan, which reads the rows
-    alone, does not build them.
+    details and the metadata.
     """
     _gate(g)
     initial = config if isinstance(config, Configuration) else Configuration.of(config)
@@ -699,7 +700,8 @@ def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
             prev = cur
         if not above:
             return True
-        if not all(fired) or not everyone.intersection(*fired):
+        # an empty round empties the intersection: fired_nonempty with it
+        if not everyone.intersection(*fired):
             return False
         # the abundant sets only shrink, so a surplus in the last state is
         # one in every state

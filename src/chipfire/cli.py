@@ -43,7 +43,9 @@ EXIT_COUNTEREXAMPLE = 3
 EXIT_RESOURCE = 4
 
 # Largest graph a generator spec or an edge-list file may ask for, checked
-# before anything is built.  Measured on one 2.1 GHz Xeon vCPU:
+# before anything is built: at most MAX_SPEC_VERTICES vertices, and at
+# most MAX_SPEC_PAIRS vertex pairs for complete and gnp or listed edges
+# for a file.  Measured on one 2.1 GHz Xeon vCPU:
 # random_tree:10000 builds in 4.1 s and 30 MB (the reach bitsets hold n^2
 # bits, 12.5 MB per copy at this cap), and the slowest sparse kind,
 # path:10000, in 106 s.  complete spends about 1.2 us and ~240 bytes on
@@ -113,6 +115,10 @@ def _parse_graph_source(source: str) -> Graph:
     if n > MAX_SPEC_VERTICES:
         raise ResourceExhausted(
             f"graph file {source!r} has {n} vertices; the cap is {MAX_SPEC_VERTICES}"
+        )
+    if len(edges) > MAX_SPEC_PAIRS:
+        raise ResourceExhausted(
+            f"graph file {source!r} lists {len(edges)} edges; the cap is {MAX_SPEC_PAIRS}"
         )
     return Graph.build(n, edges)
 

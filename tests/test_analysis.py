@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire import graph
+from chipfire import analysis, graph
 from chipfire.analysis import (
     CHECK_ORDER,
     FAIL,
@@ -624,6 +624,127 @@ def test_named_checks_agree_with_battery_rows(c4, p4, star4):
                     assert cf.NAMED_CHECKS[name](g, comp) == expected, (name, g.edges, comp)
 
 
+def _scan_verdict(check, comp):
+    """check(comp), or the type and message of what it raised."""
+    try:
+        return check(comp)
+    except ResourceExhausted as e:
+        return ResourceExhausted, str(e)
+
+
+def _battery_verdicts(g, c, comps, state_cap, threshold=None):
+    """(battery scan check, first failing battery row) verdicts of each
+    composition, both under the same threshold: the graph's, or a lower
+    one that puts the always-firing and bound rows in force at small c,
+    where they can fail."""
+    if threshold is None:
+        threshold = cf.stabilization_threshold(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "stabilization_threshold", lambda g: threshold)
+        check = analysis._battery_scan(g, c, state_cap)
+    cap = analysis._default_state_cap(state_cap)
+
+    def rows(comp):
+        initial = cf.Configuration(comp, c)
+        return analysis._first_failure(analysis._battery_rows(g, initial, threshold, cap)[0])
+
+    return [(_scan_verdict(check, comp), _scan_verdict(rows, comp)) for comp in comps]
+
+
+@st.composite
+def connected_graphs_up_to_6(draw):
+    """A random tree on 2 to 6 vertices plus any other edges."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    others = [(u, w) for u in range(n) for w in range(u + 1, n) if (u, w) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return cf.Graph.build(n, tree + extra)
+
+
+class TestBatteryScanVerdict:
+    """The battery scan's check settles most compositions off their one
+    walk; its verdict must be the first failing row of the battery."""
+
+    @given(connected_graphs_up_to_6(), st.sampled_from([1, 2, None]), st.booleans(),
+           st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_first_failing_row(self, g, state_cap, lowered, seeds):
+        threshold = cf.stabilization_threshold(g) // 2 if lowered else None
+        for c in range(4 * g.m - g.n + 3):
+            comps = [cf.random_config(g.n, c, seed).candy for seed in seeds]
+            comps += [(0,) * (g.n - 1) + (c,), (c,) + (0,) * (g.n - 1)]
+            for got, expected in _battery_verdicts(g, c, comps, state_cap, threshold):
+                assert got == expected, (g.edges, c, state_cap, threshold)
+
+    @pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
+    @pytest.mark.parametrize("state_cap", [2, None])
+    def test_matches_on_every_composition(self, spec, state_cap):
+        # a threshold of 0 puts every row in force at every total, so each
+        # predicate of the check fails on some composition here
+        g = cf.generate(*spec)
+        failing = set()
+        for threshold in (0, None):
+            for c in range(cf.stabilization_threshold(g) + 3):
+                comps = list(cf.enumerate_configs(g.n, c))
+                for got, expected in _battery_verdicts(g, c, comps, state_cap, threshold):
+                    assert got == expected, (spec, c, state_cap, threshold)
+                    if isinstance(expected, dict):
+                        failing.add(expected["check"])
+        assert {"fired_nonempty", "always_firing", "surplus_pigeonhole",
+                "stabilizes"} <= failing
+
+    @given(small_connected_graphs())
+    @settings(max_examples=5, deadline=None)
+    def test_walks_each_orbit_once(self, g):
+        # every composition is stepped once along its orbit, up to its first
+        # repeat, whether the check settles it or folds its rows
+        for c in range(cf.stabilization_threshold(g) + 2):
+            check = analysis._battery_scan(g, c)
+            for comp in cf.enumerate_configs(g.n, c):
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = count_steps(mp)
+                    check(comp)
+                assert calls[0] == sum(naive_orbit(g, comp)), (g.edges, comp)
+
+    @pytest.mark.parametrize("states, fired, failing", [
+        ([(3, 3, 3), (3, 3, 3)], [(0, 1, 2)], set()),
+        ([(3, 3, 4), (3, 3, 3), (3, 3, 3)], [(2,), (0, 1, 2)], {"conservation"}),
+        ([(4, 3, 2), (4, 3, 2), (4, 2, 2)], [(0, 1), (0, 1)], {"conservation"}),
+        ([(4, 3, 2), (5, 2, 2), (5, 2, 2)], [(0,), (0,)], {"no_gain"}),
+        ([(3, 3, 3), (4, 3, 2), (4, 3, 2)], [(1, 2), (1, 2)], {"abundant_monotone"}),
+        ([(3, 3, 3), (3, 3, 3)], [()], {"fired_nonempty", "always_firing"}),
+        ([(3, 3, 3), (3, 3, 3), (3, 3, 3)], [(0, 1), (2,)], {"always_firing"}),
+        ([(2, 2, 2), (2, 2, 2)], [(0, 1, 2)], {"surplus_pigeonhole"}),  # at c = 6
+    ], ids=["passes", "conservation-start", "conservation-later", "no_gain", "abundant_monotone", "fired_nonempty",
+            "always_firing", "surplus_pigeonhole"])
+    def test_each_predicate_on_a_made_up_walk(self, c3, states, fired, failing):
+        # a stabilizing walk of fewer than c rounds that fails one predicate,
+        # so no other rule sends it to the folds; a real kernel cannot
+        # produce most of these, and a threshold of 0 puts every row in force
+        c = 9 if failing != {"surplus_pigeonhole"} else 6
+        preperiod = len(fired) - 1
+        rows, _ = analysis._battery_fold(c3, c, 0, states, fired, preperiod, 1)
+        assert {r.name for r in rows if r.status == FAIL} == failing
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "stabilization_threshold", lambda g: 0)
+            check = analysis._battery_scan(c3, c)
+            mp.setattr(analysis, "_walk", lambda *args: (
+                list(states), list(fired), preperiod, 1, states[-1]))
+            assert check(states[0]) == analysis._first_failure(rows)
+
+    def test_budget_exhaustion_matches_the_walk(self):
+        # path:5's all-on-one-end composition at 4m - n outruns the 64-step
+        # walk a state cap of 1 allows, in the scan as in verify_battery
+        g = cf.generate("path", 5)
+        c = cf.stabilization_threshold(g)
+        comp = (0, 0, 0, 0, c)
+        [(got, expected)] = _battery_verdicts(g, c, [comp], 1)
+        assert got == expected
+        assert got[0] is ResourceExhausted
+        with pytest.raises(ResourceExhausted, match=got[1]):
+            cf.verify_battery(g, comp, state_cap=1)
+
+
 @pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
 def test_stabilization_bound_matches_battery(spec):
     g = cf.generate(*spec)
@@ -838,14 +959,55 @@ class TestThresholdTheory:
         cf.generate("cycle", 5),
         cf.generate("path", 5),
         cf.generate("star", 5),
+        cf.generate("random_connected", 5, p=0.5, seed=2),
     ], ids=lambda g: f"n{g.n}m{g.m}-" + "-".join(f"{u}{w}" for u, w in g.edges))
     def test_tight_threshold_on_small_graphs(self, g):
-        # every connected graph on 2 to 4 vertices, and three on 5: every
+        # every connected graph on 2 to 4 vertices, and four on 5: every
         # total from 3m - n + 1 up to 4m - n stabilizes, and 3m - n does not.
         # Stabilization is not monotone in c on any of them, so that is
         # not asserted
-        probe = cf.threshold_probe(g, 4 * g.m - g.n)
+        top = 4 * g.m - g.n
+        probe = cf.threshold_probe(g, top)
         assert probe.c_star == 3 * g.m - g.n + 1
+        # by L3 and L4 the complement 2d - 1 - sigma of a cycle state is a
+        # cycle state of total 4m - n - c, so the failing totals are
+        # symmetric about (4m - n) / 2
+        failing = {v.c for v in probe.verdicts if not v.all_stabilize}
+        assert failing == {top - c for c in failing}
+
+    @given(connected_graphs_up_to_6(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_periodic_orbit_lemmas(self, g, data):
+        # on every periodic orbit, stepped with the reference simulator:
+        # every vertex fires equally often over a period (L2), no cycle
+        # state holds 2d(v) or more at any vertex (L3), and the complement
+        # 2d - 1 - sigma of the cycle entry sigma fires, round by round
+        # for a period, exactly the vertices the cycle does not (L4)
+        neighbors = neighbor_map(g)
+        twice = [2 * d for d in g.degree]
+        c = data.draw(st.integers(min_value=0, max_value=4 * g.m - g.n), label="c")
+        seeds = data.draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                                   min_size=1, max_size=8), label="seeds")
+        # the outdegrees of an acyclic orientation always start a periodic orbit
+        starts = [_higher_end_outdegrees(g)]
+        starts += [cf.random_config(g.n, c, seed).candy for seed in seeds]
+        for start in starts:
+            preperiod, period = naive_orbit(g, start)
+            if period == 1:
+                continue
+            x = list(start)
+            for _ in range(preperiod):
+                x, _fired = naive_round(neighbors, x)
+            complement = [t - 1 - s for t, s in zip(twice, x)]
+            fires = dict.fromkeys(range(g.n), 0)
+            for _ in range(period):
+                assert all(map(int.__lt__, x, twice)), (g.edges, start, x)  # L3
+                x, fired = naive_round(neighbors, x)
+                complement, complement_fired = naive_round(neighbors, complement)
+                assert complement_fired == set(range(g.n)) - fired, (g.edges, start)  # L4
+                for v in fired:
+                    fires[v] += 1
+            assert len(set(fires.values())) == 1, (g.edges, start, fires)  # L2
 
     @staticmethod
     def _assert_witness_pair(g):

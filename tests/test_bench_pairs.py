@@ -128,6 +128,8 @@ def test_over_bound_reads_the_direction(bench_pairs):
     assert metrics["configs_per_s"]["over_bound"] is True
     assert metrics["solve_s"]["over_bound"] is False  # +20 % is within 25 %
     assert metrics["peak_rss_mb"]["over_bound"] is False  # +10 % exactly is not past 10 %
+    # past half the bound and not past it is near it; over it is not also near
+    assert [name for name in SPEC if metrics[name]["near_bound"]] == ["solve_s", "peak_rss_mb"]
 
 
 def test_summary_lists_metrics_over_bound(bench_pairs, tmp_path, monkeypatch, capsys):
@@ -149,6 +151,36 @@ def test_summary_lists_metrics_over_bound(bench_pairs, tmp_path, monkeypatch, ca
     assert "[probe-cycle6] peak_rss_mb: the change median is +12.6% against the parent's" in err
     assert "median attempted per run 1 against 1" in err
 
+
+# an exhaustive-cycle6 streaming walk: 1.47x faster, and its peak RSS rose
+# +9.0 % with half as many solves again per run, near the 10 % bound
+STREAM_PARENT = {"solve_s": 1.50, "peak_rss_mb": 26.62}
+STREAM_CHANGE = {"solve_s": 1.02, "peak_rss_mb": 29.01}
+
+
+def test_summary_lists_metrics_near_bound(bench_pairs, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": list(MEMO_SPEC.values())}))
+    parent = {**_run(STREAM_PARENT), "attempted": 23}
+    change = {**_run(STREAM_CHANGE), "attempted": 34}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *args: parent if checkout.name == "parent" else change)
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "exhaustive-cycle6", "--seeds", "1", "2"]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert summary["over_bound"] == []
+    assert [(o["workload"], o["metric"], o["bound"]) for o in summary["near_bound"]] == [
+        ("exhaustive-cycle6", "peak_rss_mb", 0.1)]
+    metrics = summary["workloads"]["exhaustive-cycle6"]["metrics"]
+    assert metrics["peak_rss_mb"]["shift"] == pytest.approx(29.01 / 26.62 - 1)
+    assert (metrics["peak_rss_mb"]["near_bound"], metrics["solve_s"]["near_bound"]) == (True, False)
+    assert ("[exhaustive-cycle6] peak_rss_mb: the change median is +9.0% against the parent's, "
+            "past half its bound of 10%; median attempted per run 23 against 34") in err
 
 
 # a probe-cycle6 lex-order early exit: twice as fast, with +20 % peak RSS and

@@ -1,12 +1,15 @@
 """CLI surface: exit codes, output files, and byte-level determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
 
@@ -238,6 +241,26 @@ class TestParsing:
         assert main(["simulate", str(src), "random:5,0"]) == EXIT_RESOURCE
         assert "the cap is" in capsys.readouterr().err
 
+    def test_file_edge_count_is_capped_before_building(self, monkeypatch, tmp_path, capsys):
+        built = []
+        build = cli.Graph.build
+
+        def record(n, edges):
+            built.append(len(edges))
+            return build(n, edges)
+
+        monkeypatch.setattr(cli, "MAX_SPEC_PAIRS", 4)
+        monkeypatch.setattr(cli, "Graph", type("Recorded", (), {"build": staticmethod(record)}))
+        src = tmp_path / "edges.txt"
+        src.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+        assert main(["simulate", str(src), "random:5,0"]) == EXIT_RESOURCE
+        assert "lists 5 edges; the cap is 4" in capsys.readouterr().err
+        assert built == []
+        src.write_text("0 1\n1 2\n2 3\n3 0\n")
+        assert main(["simulate", str(src), "explicit:2,2,2,2"]) == EXIT_OK
+        capsys.readouterr()
+        assert built == [4]
+
     def test_file_at_the_cap_builds(self, tmp_path, capsys):
         src = tmp_path / "wide.txt"
         src.write_text(f"n {cli.MAX_SPEC_VERTICES}\n")
@@ -287,6 +310,57 @@ def test_random_config_with_a_huge_total_returns():
     out = json.loads(proc.stdout)
     assert out["manifest"]["c"] == sum(out["final"]) == 99999999999999999999999
     assert out["stop"] == "fixed_point"
+
+
+# spec and edge-list pieces: sizes either small or far past the caps, so
+# no input builds a large graph; Unicode digits, which int() accepts;
+# floats a size or a probability must refuse; ids that are negative,
+# repeated or equal at both ends
+_NUMBERS = st.one_of(
+    st.integers(min_value=-3, max_value=30).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5", "0.01", "1", "3.0", "+4", "1_0",
+                     "0x10", "", " 7 ", "\u0663", "\uff11\uff12", "\U0001d7d3", "\u00b2",
+                     "10000001", "99999999999999999999"]),
+)
+_SEEDS = st.sampled_from(["seed=1", "seed=-1", "seed=", "seed=nan", "seed=\u0663", "seed=2=3"])
+_SPECS = st.builds(
+    lambda kind, size, parts: f"{kind}:{','.join([size, *parts])}",
+    st.sampled_from(["cycle", "path", "complete", "star", "tree", "gnp", "wheel", ""]),
+    _NUMBERS,
+    st.lists(st.one_of(_NUMBERS, _SEEDS), max_size=3),
+)
+_EDGE_LINES = st.one_of(
+    st.builds("{} {}".format, st.integers(min_value=-1, max_value=9),
+              st.integers(min_value=0, max_value=9)),
+    st.builds("n {}".format, st.one_of(st.integers(min_value=-1, max_value=12),
+                                       st.just(10**6), _NUMBERS)),
+    st.sampled_from(["# comment", "", "   ", "0 1 # trailing", "1 1", "0", "0 1 2",
+                     "a b", "\u0661 \u0662", "0 100000"]),
+)
+_CONFIGS = st.sampled_from(["random:3,0", "random:40,7", "concentrated:6,0", "explicit:1,2,3"])
+
+
+def _exit_code(argv):
+    """main(argv)'s exit code, its output swallowed."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestFuzz:
+    """Any spec string or edge-list text exits with a documented code:
+    none raises out of main."""
+
+    @given(_SPECS, _CONFIGS)
+    @settings(max_examples=150, deadline=None)
+    def test_graph_specs(self, spec, config):
+        assert _exit_code(["simulate", spec, config]) in range(5), spec
+
+    @given(st.lists(_EDGE_LINES, max_size=8), _CONFIGS)
+    @settings(max_examples=150, deadline=None)
+    def test_edge_list_files(self, tmp_path_factory, lines, config):
+        src = tmp_path_factory.getbasetemp() / "fuzz-edges.txt"
+        src.write_text("\n".join(lines), encoding="utf-8")
+        assert _exit_code(["simulate", str(src), config]) in range(5), lines
 
 
 class TestDeterminism:

@@ -17,7 +17,11 @@ the change won and lost (ties count for neither side), and the summed
 bound by which each metric may worsen, come from the parent's
 ``BENCHMARK.json``: a metric whose change median is worse than the
 parent median by more than its bound is marked ``over_bound``, listed in
-the summary's top-level ``over_bound`` and named on stderr.  Each side also
+the summary's top-level ``over_bound`` and named on stderr.  One worse by
+more than half its bound, but not past it, is marked ``near_bound`` and
+listed and named the same way, in the top-level ``near_bound``: a change
+that reads close to a bound on its own runs can cross it on another
+machine's.  Each side also
 gets the median and quartiles of ``attempted`` over its runs: a run does
 as many solves as fit in its time, so a faster change runs more of them,
 and a ``peak_rss_mb`` rise that comes with more solves per run points at
@@ -104,16 +108,18 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: dict) -> dict:
         if parent and change and parent["median"]:
             shift = (change["median"] - parent["median"]) / parent["median"]
         bound = entry.get("bound")
-        over_bound = False
+        over_bound = near_bound = False
         if shift is not None and bound is not None:
-            over_bound = (shift if direction == "lower" else -shift) > bound
+            worse = shift if direction == "lower" else -shift
+            over_bound = worse > bound
+            near_bound = bound / 2 < worse <= bound
         beyond_iqr = False
         if parent and change:
             gain = change["median"] - parent["median"]
             beyond_iqr = (-gain if direction == "lower" else gain) > parent["q3"] - parent["q1"]
         metrics[name] = {"better": direction, "parent": parent, "change": change,
                          "shift": shift, "wins": wins, "losses": losses, "bound": bound,
-                         "over_bound": over_bound,
+                         "over_bound": over_bound, "near_bound": near_bound,
                          "nine_in_ten": bool(pairs) and 10 * wins >= 9 * len(pairs),
                          "beyond_parent_iqr": beyond_iqr}
     sides = {}
@@ -182,6 +188,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "seconds": args.seconds,
         "over_bound": [],  # {"workload", "metric", "shift", "bound"} per metric past its bound
+        "near_bound": [],  # the same, per metric past half its bound but not past it
         "workloads": {},
     }
     for workload in args.workload:
@@ -197,14 +204,16 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         result = summary["workloads"][workload] = summarize(pairs, end_to_end)
         for name, m in result["metrics"].items():
-            if m["over_bound"]:
-                summary["over_bound"].append(
+            for flag, past in (("over_bound", "its bound"), ("near_bound", "half its bound")):
+                if not m[flag]:
+                    continue
+                summary[flag].append(
                     {"workload": workload, "metric": name, "shift": m["shift"], "bound": m["bound"]})
                 # a shift needs runs on both sides, so both have attempted counts
                 solves = (result["parent"]["attempted_per_run"]["median"],
                           result["change"]["attempted_per_run"]["median"])
                 print(f"[{workload}] {name}: the change median is {m['shift']:+.1%} against the "
-                      f"parent's, past its bound of {m['bound']:.0%}; median attempted per run "
+                      f"parent's, past {past} of {m['bound']:.0%}; median attempted per run "
                       f"{solves[0]:g} against {solves[1]:g}", file=sys.stderr, flush=True)
     json.dump(summary, sys.stdout, indent=2)
     print()
