@@ -23,16 +23,16 @@ vertices and theirs.
 classify, the checks' record (_record_orbit) and the "stabilizes" and
 battery scans read one walk, _walk: a visited map up to the first
 repeated state, each state hashed once, past the state cap Brent's
-constant-memory finder.  A
-"stabilizes" scan passes an orbit that ends at a fixed point on the bare
-walk and classifies only one that does not.  Its scan (oracle._scan)
-calls the check in ascending lex order of the compositions and stops at
-the first failure, so _walk takes a floor: the walk stops, passed, at its first state below
-the composition it started from, which the scan has already passed,
-before that state is hashed; other walks pass no floor.  The record
-steps a capped walk on to its first repeat and copies a cycle's second
-period (_complete_record, which a battery scan applies to its own walk);
-every cap is checked once, in _default_state_cap.
+constant-memory finder.  A "stabilizes" scan passes an orbit that ends
+at a fixed point on the bare walk and classifies only one that does not.
+Its scan (oracle._scan) calls the check in ascending lex order of the
+compositions and stops at the first failure, so _walk takes a floor: the
+walk stops, passed, at its first state below the composition it started
+from, which the scan has already passed, before that state is hashed;
+other walks pass no floor.  The record steps a capped walk on to its
+first repeat and copies a cycle's second period (_complete_record, which
+a battery scan applies to its own walk); every cap is checked once, in
+_default_state_cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""

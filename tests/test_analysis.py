@@ -371,14 +371,15 @@ def test_battery_walk_matches_reference_at_any_cap(spec):
 
 
 @st.composite
-def small_connected_graphs(draw):
-    """A random connected graph: a random tree, plus any other edges when
-    n <= 4.  A tree keeps n = 5 cheap: it has 6 188 compositions of the
-    totals up to 4m - n + 1, against 20 349 for a 5-vertex cycle."""
-    n = draw(st.integers(min_value=2, max_value=5))
+def small_connected_graphs(draw, max_n=5, dense_n=4):
+    """A random connected graph on 2 to max_n vertices: a random tree, plus
+    any other edges when n <= dense_n.  By default a tree keeps n = 5
+    cheap: it has 6 188 compositions of the totals up to 4m - n + 1,
+    against 20 349 for a 5-vertex cycle."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
     tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
     others = [(u, w) for u in range(n) for w in range(u + 1, n) if (u, w) not in tree]
-    extra = draw(st.lists(st.sampled_from(others), unique=True)) if n <= 4 and others else []
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if n <= dense_n and others else []
     return cf.Graph.build(n, tree + extra)
 
 
@@ -651,21 +652,12 @@ def _battery_verdicts(g, c, comps, state_cap, threshold=None):
     return [(_scan_verdict(check, comp), _scan_verdict(rows, comp)) for comp in comps]
 
 
-@st.composite
-def connected_graphs_up_to_6(draw):
-    """A random tree on 2 to 6 vertices plus any other edges."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
-    others = [(u, w) for u in range(n) for w in range(u + 1, n) if (u, w) not in tree]
-    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-    return cf.Graph.build(n, tree + extra)
-
-
 class TestBatteryScanVerdict:
     """The battery scan's check settles most compositions off their one
     walk; its verdict must be the first failing row of the battery."""
 
-    @given(connected_graphs_up_to_6(), st.sampled_from([1, 2, None]), st.booleans(),
+    @given(small_connected_graphs(max_n=6, dense_n=6), st.sampled_from([1, 2, None]),
+           st.booleans(),
            st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_first_failing_row(self, g, state_cap, lowered, seeds):
@@ -706,22 +698,21 @@ class TestBatteryScanVerdict:
                     check(comp)
                 assert calls[0] == sum(naive_orbit(g, comp)), (g.edges, comp)
 
-    @pytest.mark.parametrize("states, fired, failing", [
-        ([(3, 3, 3), (3, 3, 3)], [(0, 1, 2)], set()),
-        ([(3, 3, 4), (3, 3, 3), (3, 3, 3)], [(2,), (0, 1, 2)], {"conservation"}),
-        ([(4, 3, 2), (4, 3, 2), (4, 2, 2)], [(0, 1), (0, 1)], {"conservation"}),
-        ([(4, 3, 2), (5, 2, 2), (5, 2, 2)], [(0,), (0,)], {"no_gain"}),
-        ([(3, 3, 3), (4, 3, 2), (4, 3, 2)], [(1, 2), (1, 2)], {"abundant_monotone"}),
-        ([(3, 3, 3), (3, 3, 3)], [()], {"fired_nonempty", "always_firing"}),
-        ([(3, 3, 3), (3, 3, 3), (3, 3, 3)], [(0, 1), (2,)], {"always_firing"}),
-        ([(2, 2, 2), (2, 2, 2)], [(0, 1, 2)], {"surplus_pigeonhole"}),  # at c = 6
-    ], ids=["passes", "conservation-start", "conservation-later", "no_gain", "abundant_monotone", "fired_nonempty",
-            "always_firing", "surplus_pigeonhole"])
-    def test_each_predicate_on_a_made_up_walk(self, c3, states, fired, failing):
+    @pytest.mark.parametrize("c, states, fired, failing", [
+        (9, [(3, 3, 3), (3, 3, 3)], [(0, 1, 2)], set()),
+        (9, [(3, 3, 4), (3, 3, 3), (3, 3, 3)], [(2,), (0, 1, 2)], {"conservation"}),
+        (9, [(4, 3, 2), (4, 3, 2), (4, 2, 2)], [(0, 1), (0, 1)], {"conservation"}),
+        (9, [(4, 3, 2), (5, 2, 2), (5, 2, 2)], [(0,), (0,)], {"no_gain"}),
+        (9, [(3, 3, 3), (4, 3, 2), (4, 3, 2)], [(1, 2), (1, 2)], {"abundant_monotone"}),
+        (9, [(3, 3, 3), (3, 3, 3)], [()], {"fired_nonempty", "always_firing"}),
+        (9, [(3, 3, 3), (3, 3, 3), (3, 3, 3)], [(0, 1), (2,)], {"always_firing"}),
+        (6, [(2, 2, 2), (2, 2, 2)], [(0, 1, 2)], {"surplus_pigeonhole"}),
+    ], ids=["passes", "conservation-start", "conservation-later", "no_gain",
+            "abundant_monotone", "fired_nonempty", "always_firing", "surplus_pigeonhole"])
+    def test_each_predicate_on_a_made_up_walk(self, c3, c, states, fired, failing):
         # a stabilizing walk of fewer than c rounds that fails one predicate,
         # so no other rule sends it to the folds; a real kernel cannot
         # produce most of these, and a threshold of 0 puts every row in force
-        c = 9 if failing != {"surplus_pigeonhole"} else 6
         preperiod = len(fired) - 1
         rows, _ = analysis._battery_fold(c3, c, 0, states, fired, preperiod, 1)
         assert {r.name for r in rows if r.status == FAIL} == failing
@@ -975,7 +966,7 @@ class TestThresholdTheory:
         failing = {v.c for v in probe.verdicts if not v.all_stabilize}
         assert failing == {top - c for c in failing}
 
-    @given(connected_graphs_up_to_6(), st.data())
+    @given(small_connected_graphs(max_n=6, dense_n=6), st.data())
     @settings(max_examples=25, deadline=None)
     def test_periodic_orbit_lemmas(self, g, data):
         # on every periodic orbit, stepped with the reference simulator:

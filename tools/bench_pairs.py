@@ -5,27 +5,26 @@
 
 For each workload and seed this runs ``<checkout>/bench/run.py`` once in
 each checkout, one process at a time, alternating which side runs first
-(pair i starts with the parent when i is even), and reads the JSON object
-on the last line of each run's stdout.  A run that exits non-zero or
-prints no result counts as failed, and the last lines of its stderr are
-shown with the progress.  A ``--parent`` or ``--change`` that is not a
-directory holding ``bench/run.py`` is refused with exit 2 before the
-first run.  It then prints, per workload and end-to-end
-metric, each side's median and quartiles over its runs, how many pairs
-the change won and lost (ties count for neither side), and the summed
-``failed`` and ``attempted`` counts.  Which direction is better, and the
-bound by which each metric may worsen, come from the parent's
-``BENCHMARK.json``: a metric whose change median is worse than the
-parent median by more than its bound is marked ``over_bound``, listed in
-the summary's top-level ``over_bound`` and named on stderr.  One worse by
-more than half its bound, but not past it, is marked ``near_bound`` and
-listed and named the same way, in the top-level ``near_bound``: a change
-that reads close to a bound on its own runs can cross it on another
-machine's.  Each side also
-gets the median and quartiles of ``attempted`` over its runs: a run does
-as many solves as fit in its time, so a faster change runs more of them,
-and a ``peak_rss_mb`` rise that comes with more solves per run points at
-what the harness keeps per solve rather than at the package.
+(pair i starts with the parent when i is even), and reads the JSON
+object on the last line of each run's stdout.  A run that exits non-zero
+or prints no result counts as failed, and the last lines of its stderr
+are shown with the progress.  A ``--parent`` or ``--change`` that is not
+a directory holding ``bench/run.py`` is refused with exit 2 before the
+first run.  It then prints, per workload and end-to-end metric, each
+side's median and quartiles over its runs, how many pairs the change won
+and lost (ties count for neither side), and the summed ``failed`` and
+``attempted`` counts.  Which direction is better, and the bound by which
+each metric may worsen, come from the parent's ``BENCHMARK.json``: a
+metric whose change median is worse than the parent median by more than
+its bound is marked ``over_bound``, listed in the summary's top-level
+``over_bound`` and named on stderr.  One worse by more than half its
+bound, but not past it, is marked ``near_bound`` and listed and named
+the same way, in the top-level ``near_bound``: a change that reads close
+to a bound on its own runs can cross it on another machine's.  Each side
+also gets the median and quartiles of ``attempted`` over its runs: a run
+does as many solves as fit in its time, so a faster change runs more of
+them, and a ``peak_rss_mb`` rise that comes with more solves per run
+points at what the harness keeps per solve rather than at the package.
 
 Each metric also reports the rule a claimed gain must meet: whether the
 change won at least nine pairs in ten (``nine_in_ten``, over every pair
