@@ -31,10 +31,14 @@ the stab_round within its bound) from the found values, and
 verify_battery adds its metadata, abundance counts included.  A battery
 scan reads each composition's verdict off its one walk (_battery_scan)
 and folds rows (_battery_fold) only for a composition that fails or
-that the verdict loop cannot settle.  The per-graph constants the folds
-read (the abundance bars 2 * deg, the short bars 2 * deg - 2, the edge
-endpoints as two columns) are cached on the Graph (twice_degree,
-short_bar, edge_ends).
+that the verdict loop cannot settle.  sweep_experiment reads each row
+off one record of its orbit and runs no fold: its witness and its bound
+and slack come from the helpers the firing and bound folds call
+(_always_firing_witness, _bound_and_slack), so a row says what the
+battery's metadata would.  The per-graph constants the folds read (the
+abundance bars 2 * deg, the short bars 2 * deg - 2, the edge endpoints
+as two columns) are cached on the Graph (twice_degree, short_bar,
+edge_ends).
 
 verify_corpus, in both modes, and oracle.exhaustive_verify, and so
 threshold_probe's scan of each total, run one scan loop, oracle._scan,
@@ -314,9 +318,16 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
     return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
 
 
+def _always_firing_witness(n: int, fired) -> Optional[int]:
+    """The always-firing witness: the least vertex in every fired tuple,
+    None if there is none."""
+    common = set(range(n)).intersection(*fired)
+    return min(common) if common else None
+
+
 def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
     """The three above-threshold firing guarantees, and the witness vertex
-    (the least vertex that fired in every round, None if there is none).
+    (_always_firing_witness).
 
     The first two are C-level passes over the fired sets; the round where
     one first fails is looked up only when it fails.
@@ -325,12 +336,10 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
     if not all(fired):
         t = next(t for t, f in enumerate(fired, 1) if not f)
         nonempty = CheckResult("fired_nonempty", FAIL, {"round": t})
-    common = set(range(g.n)).intersection(*fired)
-    if common:
-        witness = min(common)
+    witness = _always_firing_witness(g.n, fired)
+    if witness is not None:
         always = _PASSED["always_firing"]
     else:
-        witness = None
         common = set(range(g.n))
         for t, f in enumerate(fired, 1):
             common.intersection_update(f)
@@ -351,21 +360,22 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
     return [nonempty, always, pigeonhole], {"always_firing_witness": witness}
 
 
+def _bound_and_slack(g: Graph, c: int, stab: Optional[int]) -> tuple[int, Optional[int]]:
+    """The round bound n * d * c, and its slack over the stab round
+    (None when the orbit did not stabilize)."""
+    bound = g.n * g.diameter * c
+    return bound, None if stab is None else bound - stab
+
+
 def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
     """Round bound n * d * c and idle gaps capped at d * c.
 
     No vertex idles longer than stab rounds before round stab, so the
     idle runs are measured only when stab exceeds d * c.
     """
-    d = g.diameter
-    bound = g.n * d * c
-    gap_bound = d * c
-    meta = {
-        "bound": bound,
-        "gap_bound": gap_bound,
-        "stab_round": stab,
-        "slack": bound - stab if stab is not None else None,
-    }
+    bound, slack = _bound_and_slack(g, c, stab)
+    gap_bound = g.diameter * c
+    meta = {"bound": bound, "gap_bound": gap_bound, "stab_round": stab, "slack": slack}
     if stab is None or stab > bound:
         fail = {
             "config": list(states[0]),
@@ -477,6 +487,7 @@ def check_stabilization_bound(g: Graph, init) -> VerificationReport:
     """Run the game and assert the n * diameter * c round bound and idle-gap cap."""
     _gate(g)
     initial = init if isinstance(init, Configuration) else Configuration.of(init)
+    _coerce(g, initial)  # the length is checked below the threshold too, with no walk
     c = initial.total
     threshold = stabilization_threshold(g)
     meta = {
@@ -782,6 +793,8 @@ def verify_corpus(
     elif mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
+        if trials < 0:
+            raise ValueError("trials must be >= 0")
         total = trials
         configs = (random_config(g.n, c, derive_seed(seed, i)).candy for i in range(trials))
     else:
@@ -846,25 +859,44 @@ def sweep_experiment(
     seed: int,
     state_cap: Optional[int] = None,
 ) -> list[dict]:
-    """One battery row per (c, trial) with a seeded random configuration.
+    """One row per (c, trial) with a seeded random configuration, read
+    off one record of its orbit: the record verify_battery folds over
+    (parallel._complete_record of one _walk), with no fold run and no
+    report built.
+
+    The row holds the outcome, the stab round or the period and the round
+    bound n * d * c.  Its slack (_bound_and_slack) is -1 for a periodic
+    orbit or below 4m - n, and its v_star (_always_firing_witness) is -1
+    below 4m - n or when no vertex fired in every round, as in
+    verify_battery's metadata.  The abundant counts come from the
+    record's first and last states.  The state cap is resolved once,
+    after the first draw, as in the scans; a negative trials is a
+    ValueError before any draw.
 
     Output order is fixed by the (c index, trial) key, so identical
     arguments reproduce identical rows byte for byte; trials may in
     principle run concurrently without changing that order.
     """
     _gate(g)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     threshold = stabilization_threshold(g)
     d = g.diameter
+    twice = g.twice_degree
     rows = []
-    cap = None
+    cap = budget = None
     for ci, c in enumerate(c_values):
+        above = c >= threshold
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
             if cap is None:
                 cap = _default_state_cap(state_cap)
-            report = verify_battery(g, cfg, cap)
-            md = report.metadata
-            stabilized = md["outcome"] == "stabilized"
+                budget = _BRENT_BUDGET_FACTOR * cap
+            walk = _walk(g, cfg.candy, cap, budget)
+            states, fired, preperiod, period = _complete_record(g, walk)
+            stabilized = period == 1
+            bound, slack = _bound_and_slack(g, c, preperiod if stabilized else None)
+            witness = _always_firing_witness(g.n, fired) if above else None
             rows.append(
                 {
                     "n": g.n,
@@ -873,15 +905,13 @@ def sweep_experiment(
                     "c": c,
                     "threshold": threshold,
                     "trial": trial,
-                    "outcome": md["outcome"],
-                    "stab_round_or_period": md["stab_round"] if stabilized else md["period"],
-                    "bound": g.n * d * c,
-                    "slack": md["slack"] if md["slack"] is not None else -1,
-                    "v_star": md["always_firing_witness"]
-                    if md["always_firing_witness"] is not None
-                    else -1,
-                    "abundant_start": md["abundant_start"],
-                    "abundant_end": md["abundant_end"],
+                    "outcome": "stabilized" if stabilized else "periodic",
+                    "stab_round_or_period": preperiod if stabilized else period,
+                    "bound": bound,
+                    "slack": slack if above and stabilized else -1,
+                    "v_star": witness if witness is not None else -1,
+                    "abundant_start": _abundant_count(cfg.candy, twice),
+                    "abundant_end": _abundant_count(states[-1], twice),
                 }
             )
     return rows
@@ -945,6 +975,8 @@ def threshold_probe(g: Graph, c_max: int, cap: int = DEFAULT_ENUM_CAP) -> ProbeR
     not on small cycles.
     """
     _gate(g)
+    if c_max < 0:
+        raise ValueError("c_max must be >= 0")
     verdicts = []
     for c in range(c_max + 1):
         res = exhaustive_verify(g, c, "stabilizes", cap=cap)

@@ -260,6 +260,8 @@ def _cmd_verify(args) -> int:
             raise _InputError(f"--c must be an integer or 'auto', got {args.c!r}")
         if c < 0:
             raise _InputError("--c must be >= 0")
+    if args.trials is not None and args.trials < 0:
+        raise _InputError("--trials must be >= 0")
     mode = "sampled" if args.trials is not None else "exhaustive"
     report = verify_corpus(
         g,

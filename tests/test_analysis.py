@@ -16,7 +16,7 @@ from chipfire.analysis import (
     SUITE_COLUMNS,
     SWEEP_COLUMNS,
 )
-from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted
+from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted, SizeMismatch
 from conftest import count_steps, naive_orbit, naive_round, neighbor_map
 
 
@@ -289,6 +289,15 @@ class TestStabilizationBound:
         report = cf.check_stabilization_bound(c4, [2, 0, 2, 0])
         assert all(r.status == NOT_APPLICABLE for r in report.checks)
 
+    @pytest.mark.parametrize("config", [[1, 2], [1, 2, 30], [0, 0, 3, 0, 0]])
+    def test_length_is_checked_below_and_above_the_threshold(self, c4, config):
+        # totals 3, 33 and 3 against the threshold 12: the battery's error
+        # at every c, though only an above-threshold c is walked
+        message = f"configuration has {len(config)} entries for n=4"
+        for check in (cf.check_stabilization_bound, cf.verify_battery):
+            with pytest.raises(SizeMismatch, match=message):
+                check(c4, config)
+
 
 class TestBattery:
     def test_stabilizing_instance_all_pass(self, c3):
@@ -463,12 +472,29 @@ class TestVerifyCorpus:
         with pytest.raises(ValueError):
             cf.verify_corpus(c3, 9, mode="sampled")
 
+    def test_negative_trials_is_refused_before_any_draw(self, c3, monkeypatch):
+        monkeypatch.setattr(analysis, "random_config", _no_draw)
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            cf.verify_corpus(c3, 9, mode="sampled", trials=-2, seed=0)
+
     def test_unknown_mode(self, c3):
         with pytest.raises(ValueError):
             cf.verify_corpus(c3, 9, mode="creative")
 
 
+def _no_draw(*args):
+    raise AssertionError("drew a configuration")
+
+
 class TestThresholdProbe:
+    def test_negative_c_max_is_refused_before_any_scan(self, c3, monkeypatch):
+        monkeypatch.setattr(analysis, "exhaustive_verify", _no_draw)
+        with pytest.raises(ValueError, match="c_max must be >= 0"):
+            cf.threshold_probe(c3, -1)
+        # c_max = 0 is one scan of the empty total
+        monkeypatch.undo()
+        assert [v.c for v in cf.threshold_probe(c3, 0).verdicts] == [0]
+
     def test_triangle_landscape(self, c3):
         probe = cf.threshold_probe(c3, 9)
         flags = [v.all_stabilize for v in probe.verdicts]
@@ -495,6 +521,48 @@ class TestThresholdProbe:
         }
 
 
+def _sweep_rows_from_batteries(g, c_values, trials, seed, state_cap=None):
+    """sweep_experiment's rows as they were once built: from the metadata of
+    one verify_battery report per sampled configuration."""
+    analysis._gate(g)
+    threshold = cf.stabilization_threshold(g)
+    d = g.diameter
+    rows = []
+    cap = None
+    for ci, c in enumerate(c_values):
+        for trial in range(trials):
+            cfg = cf.random_config(g.n, c, cf.derive_seed(seed, ci, trial))
+            if cap is None:
+                cap = analysis._default_state_cap(state_cap)
+            md = cf.verify_battery(g, cfg, cap).metadata
+            stabilized = md["outcome"] == "stabilized"
+            rows.append({
+                "n": g.n,
+                "m": g.m,
+                "d": d,
+                "c": c,
+                "threshold": threshold,
+                "trial": trial,
+                "outcome": md["outcome"],
+                "stab_round_or_period": md["stab_round"] if stabilized else md["period"],
+                "bound": g.n * d * c,
+                "slack": md["slack"] if md["slack"] is not None else -1,
+                "v_star": md["always_firing_witness"]
+                if md["always_firing_witness"] is not None else -1,
+                "abundant_start": md["abundant_start"],
+                "abundant_end": md["abundant_end"],
+            })
+    return rows
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not handled
+        return type(e), str(e)
+
+
 class TestSweep:
     def test_rows_and_csv(self, c4):
         rows = cf.sweep_experiment(c4, [4, 12], trials=3, seed=5)
@@ -512,6 +580,34 @@ class TestSweep:
     def test_zero_trials_gives_header_only(self, c4):
         text = cf.sweep_csv(cf.sweep_experiment(c4, [4], trials=0, seed=0))
         assert text == ",".join(SWEEP_COLUMNS) + "\n"
+
+    def test_negative_trials_is_refused_before_any_draw(self, c4, monkeypatch):
+        monkeypatch.setattr(analysis, "random_config", _no_draw)
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            cf.sweep_experiment(c4, [4, 12], trials=-1, seed=0)
+
+    @given(small_connected_graphs(max_n=6, dense_n=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from([None, 0, 1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_the_battery_metadata(self, g, trials, seed, state_cap):
+        self._assert_rows_match(g, trials, seed, state_cap)
+
+    @pytest.mark.parametrize("state_cap", [None, 1, 2])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_rows_match_the_battery_metadata_on_a_wider_graph(self, trials, state_cap):
+        g = cf.generate("random_connected", 40, p=0.1, seed=3)
+        self._assert_rows_match(g, trials, 11, state_cap)
+
+    @staticmethod
+    def _assert_rows_match(g, trials, seed, state_cap):
+        # each c where a row can differ: below m (every orbit stabilizes),
+        # half the threshold, 3m - n (the last total with a periodic
+        # orbit), and the threshold and one past it, where slack and v_star
+        # come into force
+        top = 4 * g.m - g.n
+        c_values = [0, g.m - 1, top // 2, 3 * g.m - g.n, top, top + 1]
+        args = (g, c_values, trials, seed, state_cap)
+        assert _outcome(cf.sweep_experiment, *args) == _outcome(_sweep_rows_from_batteries, *args)
 
     def test_above_threshold_rows_stabilize(self, c3):
         rows = cf.sweep_experiment(c3, [9, 10], trials=5, seed=2)
@@ -999,6 +1095,31 @@ class TestThresholdTheory:
                 for v in fired:
                     fires[v] += 1
             assert len(set(fires.values())) == 1, (g.edges, start, fires)  # L2
+
+    SEQUENTIAL_GRAPHS = [cf.generate(kind, n) for kind in ("cycle", "path", "star")
+                         for n in (4, 5)] + [cf.generate("complete", n) for n in (3, 4)]
+
+    @pytest.mark.parametrize("g", SEQUENTIAL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_fewer_than_m_candies_terminate_sequentially(self, g):
+        # L5 through seq_run: a game with fewer candies than edges is finite
+        # (Bjorner-Lovasz-Shor), and, the sequential game being abelian, it
+        # ends where the parallel game does after as many single firings as
+        # the parallel game's passes
+        for c in range(g.m):
+            for comp in cf.enumerate_configs(g.n, c):
+                outcome = cf.seq_run(g, comp, "lowest_index")
+                assert isinstance(outcome, cf.Terminated), (g.edges, comp)
+                fixed = cf.classify(g, comp)
+                trace = cf.run(g, comp, max_rounds=fixed.stab_round + 1)
+                assert outcome.final == fixed.fixed == trace.final, (g.edges, comp)
+                assert outcome.length == sum(trace.pass_at(len(trace.rounds))), (g.edges, comp)
+
+    @pytest.mark.parametrize("g", SEQUENTIAL_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    def test_more_than_2m_minus_n_candies_never_terminate(self, g):
+        # a game with more than 2m - n candies is infinite (Bjorner-Lovasz-Shor)
+        for c in (2 * g.m - g.n + 1, 2 * g.m - g.n + 2):
+            for comp in cf.enumerate_configs(g.n, c):
+                assert isinstance(cf.seq_run(g, comp, "lowest_index"), cf.Infinite), (g.edges, comp)
 
     @staticmethod
     def _assert_witness_pair(g):

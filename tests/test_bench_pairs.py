@@ -89,6 +89,30 @@ def test_bad_checkout_exits_2_before_any_run(bench_pairs, tmp_path, monkeypatch,
     assert runs == []
 
 
+def _write_spec(checkout, end_to_end, workloads=("exhaustive-cycle6", "probe-cycle6")):
+    """A BENCHMARK.json in checkout listing the workloads and metrics."""
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": name} for name in workloads],
+        "end_to_end": list(end_to_end.values()),
+    }))
+
+
+def test_unknown_workload_exits_2_before_any_run(bench_pairs, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    _write_spec(tmp_path / "parent", SPEC, workloads=("sweep-gnp300", "probe-cycle6"))
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--workload", "probe-cycle6", "sweep-gnp30", "--seeds", "1", "2"])
+    assert exit_info.value.code == 2
+    assert ("unknown workload sweep-gnp30; the parent's BENCHMARK.json lists "
+            "sweep-gnp300, probe-cycle6") in capsys.readouterr().err
+    assert runs == []
+
+
 SPEC = {
     "solve_s": {"name": "solve_s", "better": "lower", "bound": 0.25},
     "configs_per_s": {"name": "configs_per_s", "better": "higher", "bound": 0.25},
@@ -136,8 +160,7 @@ def test_summary_lists_metrics_over_bound(bench_pairs, tmp_path, monkeypatch, ca
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text("")
-    (tmp_path / "parent" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": list(MEMO_SPEC.values())}))
+    _write_spec(tmp_path / "parent", MEMO_SPEC)
     parent, change = _run(MEMO_PARENT), _run(MEMO_CHANGE)
     monkeypatch.setattr(bench_pairs, "run_once",
                         lambda checkout, *args: parent if checkout.name == "parent" else change)
@@ -162,8 +185,7 @@ def test_summary_lists_metrics_near_bound(bench_pairs, tmp_path, monkeypatch, ca
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text("")
-    (tmp_path / "parent" / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": list(MEMO_SPEC.values())}))
+    _write_spec(tmp_path / "parent", MEMO_SPEC)
     parent = {**_run(STREAM_PARENT), "attempted": 23}
     change = {**_run(STREAM_CHANGE), "attempted": 34}
     monkeypatch.setattr(bench_pairs, "run_once",

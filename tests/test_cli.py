@@ -102,6 +102,17 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["mode"] == "sampled" and out["configs_checked"] == 10
 
+    def test_negative_trials_is_an_input_error(self, capsys):
+        assert main(["verify", "cycle:4", "--c", "4", "--trials", "-2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: --trials must be >= 0"]
+        assert captured.out == ""
+
+    def test_zero_trials_checks_nothing(self, capsys):
+        assert main(["verify", "cycle:4", "--c", "4", "--trials", "0"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["configs_total"], out["configs_checked"]) == (0, 0)
+
     def test_exhaustive_and_trials_conflict(self, capsys):
         code = main(["verify", "cycle:3", "--exhaustive", "--trials", "5"])
         assert code == EXIT_INPUT

@@ -9,8 +9,9 @@ each checkout, one process at a time, alternating which side runs first
 object on the last line of each run's stdout.  A run that exits non-zero
 or prints no result counts as failed, and the last lines of its stderr
 are shown with the progress.  A ``--parent`` or ``--change`` that is not
-a directory holding ``bench/run.py`` is refused with exit 2 before the
-first run.  It then prints, per workload and end-to-end metric, each
+a directory holding ``bench/run.py``, or a ``--workload`` that the
+parent's ``BENCHMARK.json`` does not list, is refused with exit 2 before
+the first run.  It then prints, per workload and end-to-end metric, each
 side's median and quartiles over its runs, how many pairs the change won
 and lost (ties count for neither side), and the summed ``failed`` and
 ``attempted`` counts.  Which direction is better, and the bound by which
@@ -180,6 +181,11 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {checkout} is not a directory holding bench/run.py")
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workload if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; the parent's BENCHMARK.json "
+                     f"lists {', '.join(known)}")
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     summary = {
         "commits": {"parent": head_commit(args.parent), "change": head_commit(args.change)},
