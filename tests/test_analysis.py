@@ -16,7 +16,13 @@ from chipfire.analysis import (
     SUITE_COLUMNS,
     SWEEP_COLUMNS,
 )
-from chipfire.errors import Disconnected, InvalidGraph, ResourceExhausted, SizeMismatch
+from chipfire.errors import (
+    ChipfireError,
+    Disconnected,
+    InvalidGraph,
+    ResourceExhausted,
+    SizeMismatch,
+)
 from conftest import count_steps, naive_orbit, naive_round, neighbor_map
 
 
@@ -556,10 +562,11 @@ def _sweep_rows_from_batteries(g, c_values, trials, seed, state_cap=None):
 
 
 def _outcome(fn, *args):
-    """fn's result, or the type and message of what it raised."""
+    """fn's result, or the type and message of the package error or
+    ValueError it raised."""
     try:
         return fn(*args)
-    except Exception as e:  # noqa: BLE001 - compared, not handled
+    except (ChipfireError, ValueError) as e:
         return type(e), str(e)
 
 
