@@ -14,14 +14,14 @@ over a recorded orbit:
   within n * diameter * c rounds and no vertex idles more than
   diameter * c consecutive rounds before stabilization.
 
-Every check walks each orbit once (parallel._record_orbit), keeping the
-states 0..T and the tuple each round fired: the whole game for a
-stabilizing configuration, preperiod plus two periods for an oscillating
-one.  Each check family is one fold over those two sequences, and one
-table (_FAMILIES) says which rows each family reports and what it needs;
-the battery, the named checks and the public check_* functions are all
-read off it.  The public checks on a GameTrace feed the same folds from
-the trace.
+The checks have one way in, the battery.  It walks each orbit once
+(parallel._record_orbit, or _complete_record over a scan's own _walk),
+keeping the states 0..T and the ascending tuple each round fired: the
+whole game for a stabilizing configuration, preperiod plus two periods
+for an oscillating one.  Each check family is one fold over that record,
+and one table (_FAMILIES) says which rows each family reports and
+whether it needs c >= 4m - n; _battery_fold, the folds' one caller,
+reads every family off it.  A GameTrace from run is not checked.
 
 The folds return verdict rows and the values they found, nothing more: a
 passing row is one shared immutable CheckResult (_PASSED), and a failing
@@ -43,14 +43,13 @@ edge_ends).
 verify_corpus, in both modes, and oracle.exhaustive_verify, and so
 threshold_probe's scan of each total, run one scan loop, oracle._scan,
 whose docstring states the scan contract.  Its checks are registered
-here (_NAMED_SCANS): each is set up once per scan (the threshold
-refusal, the gate and the state cap) and trusts each composition it is
-given: "stabilizes" walks it once with the scan's caps (parallel._walk)
-and classifies it only when it does not stabilize, the battery walks it
-once the same way and reads its verdict off the walk, and the families
-take it as Configuration(comp, c) to their folds.  In a lex order scan
-a "stabilizes" walk stops, passed, at its first state below
-its composition (the lex-order exit).  NAMED_CHECKS[name](g, comp)
+here (_NAMED_SCANS), and there are two: each is set up once per scan
+(the graph gate and the state cap) and trusts each composition it is
+given.  "stabilizes" walks it once with the scan's caps (parallel._walk)
+and classifies it only when it does not stabilize, and the battery walks
+it once the same way and reads its verdict off the walk.  In a lex order
+scan a "stabilizes" walk stops, passed, at its first state below its
+composition (the lex-order exit).  NAMED_CHECKS[name](g, comp)
 validates its one composition and runs the same set-up and check on it.
 A name is resolved through _NAMED_SCANS, which NAMED_CHECKS is built
 from, so replacing an entry of NAMED_CHECKS does not change what a scan
@@ -86,7 +85,6 @@ from .oracle import (
 from .parallel import (
     _BRENT_BUDGET_FACTOR,
     Configuration,
-    GameTrace,
     _coerce,
     _complete_record,
     _default_state_cap,
@@ -101,22 +99,17 @@ from .rng import SplitMix64, derive_seed
 class _Family(NamedTuple):
     fold: str  # module-global name, looked up at each call so a rebound fold runs
     rows: tuple[str, ...]
-    gated: bool  # needs a validated, connected graph with n >= 2 (_gate)
     above_threshold: bool  # needs c >= 4m - n; below it the rows are not_applicable
 
 
 # the four claim families, in report order
 _FAMILIES = {
-    "core": _Family(
-        "_core_checks", ("conservation", "no_gain", "abundant_monotone"), False, False
-    ),
-    "pass_gaps": _Family(
-        "_gap_checks", ("adjacent_pass_gap", "pairwise_pass_gap"), True, False
-    ),
+    "core": _Family("_core_checks", ("conservation", "no_gain", "abundant_monotone"), False),
+    "pass_gaps": _Family("_gap_checks", ("adjacent_pass_gap", "pairwise_pass_gap"), False),
     "always_firing": _Family(
-        "_firing_checks", ("fired_nonempty", "always_firing", "surplus_pigeonhole"), True, True
+        "_firing_checks", ("fired_nonempty", "always_firing", "surplus_pigeonhole"), True
     ),
-    "bound": _Family("_bound_checks", ("stabilized_within_bound", "idle_gap"), True, True),
+    "bound": _Family("_bound_checks", ("stabilized_within_bound", "idle_gap"), True),
 }
 
 CHECK_ORDER = tuple(row for family in _FAMILIES.values() for row in family.rows) + (
@@ -221,12 +214,8 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
             )
         if t and no_gain is None:
             f = fired[t - 1]
-            for v in f:
+            for v in f:  # ascending, so the lowest vertex that gained
                 if cur[v] > prev[v]:
-                    # check_core_invariants takes any GameTrace, and a hand-built
-                    # one may hold frozensets, whose iteration order is not
-                    # ascending: report the lowest vertex that gained
-                    v = min(u for u in f if cur[u] > prev[u])
                     no_gain = CheckResult(
                         "no_gain",
                         FAIL,
@@ -411,9 +400,7 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
     return [within, idle], meta
 
 
-def _fold(
-    name: str, g: Graph, c: int, threshold: int, states, fired, preperiod=None, period=None
-):
+def _fold(name: str, g: Graph, c: int, threshold: int, states, fired, preperiod, period):
     """A family's (rows, metadata), folded over one record of an orbit.
 
     A family that needs c >= 4m - n reports its rows not_applicable below
@@ -440,66 +427,6 @@ def _report(rows: Iterable[CheckResult], found: dict, metadata: dict) -> Verific
             row = CheckResult(row.name, PASS, detail=detail)
         checks.append(row)
     return VerificationReport(tuple(checks), metadata)
-
-
-# ---------------------------------------------------------------------------
-# public per-claim checks
-
-
-def _trace_report(name: str, g: Graph, trace: GameTrace, meta: dict) -> VerificationReport:
-    """One family's report, folded over the states and fired sets of a trace."""
-    if _FAMILIES[name].gated:
-        _gate(g)
-    c = trace.initial.total
-    states = [trace.initial.candy] + [rec.config.candy for rec in trace.rounds]
-    fired = [rec.fired for rec in trace.rounds]
-    rows, found = _fold(name, g, c, stabilization_threshold(g), states, fired)
-    return _report(rows, found, {**meta, **found})
-
-
-def check_core_invariants(g: Graph, trace: GameTrace) -> VerificationReport:
-    """Conservation, no-gain-by-firing, and abundant-set shrinkage on a trace."""
-    meta = {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)}
-    return _trace_report("core", g, trace, meta)
-
-
-def check_pass_count_gaps(g: Graph, trace: GameTrace) -> VerificationReport:
-    """Cumulative fire-count gaps: <= c across edges, <= dist * c across pairs.
-
-    The counts are accumulated from the trace's fired sets.
-    """
-    meta = {"c": trace.initial.total, "rounds_recorded": len(trace.rounds)}
-    return _trace_report("pass_gaps", g, trace, meta)
-
-
-def check_always_firing(g: Graph, trace: GameTrace) -> VerificationReport:
-    """Above-threshold firing guarantees; not_applicable below 4m - n."""
-    meta = {
-        "c": trace.initial.total,
-        "threshold": stabilization_threshold(g),
-        "rounds_recorded": len(trace.rounds),
-        "finite_check_note": FINITE_CHECK_NOTE,
-    }
-    return _trace_report("always_firing", g, trace, meta)
-
-
-def check_stabilization_bound(g: Graph, init) -> VerificationReport:
-    """Run the game and assert the n * diameter * c round bound and idle-gap cap."""
-    _gate(g)
-    initial = init if isinstance(init, Configuration) else Configuration.of(init)
-    _coerce(g, initial)  # the length is checked below the threshold too, with no walk
-    c = initial.total
-    threshold = stabilization_threshold(g)
-    meta = {
-        "c": c,
-        "threshold": threshold,
-        "diameter": g.diameter,
-        "finite_check_note": FINITE_CHECK_NOTE,
-    }
-    # below the threshold the rows are not_applicable and the game is not walked
-    record = _record_orbit(g, initial) if c >= threshold else ((), ())
-    rows, found = _fold("bound", g, c, threshold, *record)
-    return _report(rows, found, {**meta, **found})
 
 
 # ---------------------------------------------------------------------------
@@ -639,34 +566,6 @@ def _stabilizes_scan(g: Graph, c: int):
     return check
 
 
-def _family_scan(name: str):
-    """The set-up of one family's scan, whose check gives the family's first
-    failing row on the orbit of each composition.
-
-    A family that needs c >= 4m - n refuses a smaller c with ValueError
-    before the graph is gated.
-    """
-    family = _FAMILIES[name]
-
-    def prepare(g: Graph, c: int):
-        threshold = stabilization_threshold(g)
-        if family.above_threshold and c < threshold:
-            raise ValueError(
-                f"{name} check needs c >= {threshold}; use 'stabilizes' below the threshold"
-            )
-        if family.gated:
-            _gate(g)
-        cap = _default_state_cap()
-
-        def check(comp) -> Optional[dict]:
-            record = _record_orbit(g, Configuration(comp, c), cap)
-            return _first_failure(_fold(name, g, c, threshold, *record)[0])
-
-        return check
-
-    return prepare
-
-
 def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
     """The set-up of a battery scan, whose check gives the first failing
     row of the whole battery on each orbit.  state_cap, when given,
@@ -754,7 +653,6 @@ def _one_composition(prepare):
 
 _NAMED_SCANS = {
     "stabilizes": _stabilizes_scan,
-    **{name: _family_scan(name) for name in _FAMILIES},
     "battery": _battery_scan,
 }
 

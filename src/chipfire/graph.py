@@ -4,10 +4,10 @@ Vertices are always 0..n-1.  Graph.build computes connectivity and the
 diameter in one word-parallel pass and keeps nothing of size n^2: each
 vertex's reach set is an int bitmask, and every pass ORs in the
 neighbours' masks, growing each set by one hop, in O(d * m) big-int ORs
-(the masks, n^2 bits in all, are dropped once build returns).  Pairwise
-distances come from a BFS per source row (Graph.distances_from); the
-pairwise pass-count gap check runs those only in the one round where it
-scans every pair.
+(the masks, n^2 bits in all, are dropped once build returns).  A Graph
+has no distance matrix: pairwise distances come from a BFS per source
+row (Graph.distances_from), which the pairwise pass-count gap check runs
+only in the one round where it scans every pair.
 
 generate("random_connected", n, p, seed) is G(n, p) conditioned on
 connectivity by retrying: attempt a draws from the splitmix64 stream
@@ -32,7 +32,6 @@ from .rng import CHUNK, SplitMix64, derive_seed
 
 GENERATOR_KINDS = ("cycle", "path", "complete", "star", "random_tree", "random_connected")
 
-_TREE_RETRIES = 1  # Pruefer decode always yields a tree; no retry needed
 _GNP_RETRIES = 200
 
 
@@ -42,9 +41,8 @@ class Graph:
 
     edges are normalized (u < v) and sorted; adjacency lists are sorted.
     _diameter is the diameter of a connected graph and None otherwise;
-    read it through the diameter property.  Pairwise distances are not
-    stored: distances_from runs a BFS per call, and distance builds the
-    full matrix from it on first access only.
+    read it through the diameter property.  Pairwise distances are
+    never stored: distances_from runs a BFS per call.
     """
 
     n: int
@@ -79,11 +77,6 @@ class Graph:
                     dist[w] = du
                     q.append(w)
         return dist
-
-    @cached_property
-    def distance(self) -> tuple[tuple[int, ...], ...]:
-        """The n x n distance matrix (-1 for unreachable pairs), built on first access."""
-        return tuple(tuple(self.distances_from(src)) for src in range(self.n))
 
     @cached_property
     def fire_at(self) -> tuple[float, ...]:

@@ -52,9 +52,12 @@ def compositions_count(n: int, c: int) -> int:
 def enumerate_configs(n: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every composition in lexicographic order.
 
-    Raises ResourceExhausted on the first next() when the count exceeds
-    cap, so a caller never starts a scan it cannot finish.
+    Raises ValueError on the first next() when cap is negative, and
+    ResourceExhausted when the count exceeds cap, so a caller never
+    starts a scan it cannot finish.
     """
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be >= 0, got {cap}")
     total = compositions_count(n, c)
     if total > cap:
         raise ResourceExhausted(f"{total} compositions exceed the cap of {cap}")

@@ -31,8 +31,10 @@ walk stops, passed, at its first state below the composition it started
 from, which the scan has already passed, before that state is hashed;
 other walks pass no floor.  The record steps a capped walk on to its
 first repeat and copies a cycle's second period (_complete_record, which
-a battery scan applies to its own walk); every cap is checked once, in
-_default_state_cap.
+a battery scan applies to its own walk).  That record is the checks'
+only input: a GameTrace, which run records for output, is never
+checked, and it derives one view from its fired tuples, the pass counts
+at a round (pass_at).  Every cap is checked once, in _default_state_cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""
@@ -44,8 +46,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import ge, lt
-from typing import Iterator, Sequence, Union
+from operator import ge, index, lt
+from typing import Sequence, Union
 
 from .errors import ResourceExhausted, SizeMismatch
 from .graph import Graph
@@ -64,7 +66,23 @@ class Configuration:
 
     @classmethod
     def of(cls, values: Sequence[int]) -> "Configuration":
-        candy = tuple(map(int, values))
+        """The configuration of these per-vertex counts.
+
+        Each count must be an int, or of a type with __index__ (a numpy
+        integer, say); a bool is taken as the int it is (True is 1).  A
+        float, even an integral one, a string or None is refused with a
+        ValueError naming it, never truncated, and so is a negative
+        count.
+        """
+        try:
+            candy = tuple(map(index, values))
+        except TypeError:
+            for v in values:
+                try:
+                    index(v)
+                except TypeError:
+                    raise ValueError(f"candy count {v!r} is not an integer") from None
+            raise
         if min(candy, default=0) < 0:
             first = next(v for v in candy if v < 0)
             raise ValueError(f"negative candy count {first}")
@@ -93,8 +111,7 @@ class RoundRecord:
 class GameTrace:
     """Everything a run observed, each round once: its fired tuple and the
     configuration after it.  Pass counts (how often each vertex has fired
-    by round t) are derived from the fired tuples: by pass_at for one
-    round, by running_pass_counts for every round in turn."""
+    by round t) are counted from the fired tuples by pass_at."""
 
     initial: Configuration
     rounds: tuple[RoundRecord, ...]
@@ -135,30 +152,6 @@ class GameTrace:
         counts = Counter(chain.from_iterable(
             rec.fired for rec in self.rounds[:self._round_index(t)]))
         return tuple(map(counts.__getitem__, range(self.n)))
-
-    def running_pass_counts(self) -> Iterator[tuple[int, ...]]:
-        """The pass counts after each round in turn, rounds 1..T: pass_at(t)
-        for t = 1, 2, ..., kept as running counts, so O(n) a round where
-        calling pass_at for every round costs O(rounds^2)."""
-        counts = [0] * self.n
-        for rec in self.rounds:
-            for v in rec.fired:
-                counts[v] += 1
-            yield tuple(counts)
-
-    def vertex_stabilization_rounds(self) -> tuple[int, ...]:
-        """Per-vertex convenience view: first recorded round after which
-        that vertex's candy count never changes.  Meaningful only for
-        fixed-point traces; the whole-configuration stab_round is the
-        contractual quantity."""
-        last = self.final.candy
-        out = []
-        for v in range(self.n):
-            t = len(self.rounds)
-            while t > 0 and self.config_at(t - 1).candy[v] == last[v]:
-                t -= 1
-            out.append(t)
-        return tuple(out)
 
 
 @dataclass(frozen=True)

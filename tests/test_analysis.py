@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chipfire as cf
-from chipfire import analysis, graph
+from chipfire import analysis, graph, parallel
 from chipfire.analysis import (
     CHECK_ORDER,
     FAIL,
@@ -31,82 +31,94 @@ def test_check_order_covers_battery(c3):
     assert tuple(r.name for r in report.checks) == CHECK_ORDER
 
 
+def _family(name, g, config, threshold=None):
+    """One family's (rows, found values), folded over the battery's record
+    of config's orbit, under the graph's threshold or the one given."""
+    if threshold is None:
+        threshold = cf.stabilization_threshold(g)
+    record = parallel._record_orbit(g, cf.Configuration.of(config))
+    return analysis._fold(name, g, sum(config), threshold, *record)
+
+
+def _hand_fold(name, g, c, states, fired):
+    """One family's (rows, found values), folded over a record built by
+    hand, with ascending fired tuples, that reached no fixed point, under
+    a threshold of 0, so every row is in force."""
+    return analysis._fold(name, g, c, 0, states, fired, None, None)
+
+
 class TestCoreInvariants:
     def test_pass_on_real_trace(self, c3):
-        trace = cf.run(c3, [9, 0, 0], 50)
-        report = cf.check_core_invariants(c3, trace)
-        assert report.ok
-        assert {r.name for r in report.checks} == {
-            "conservation",
-            "no_gain",
-            "abundant_monotone",
-        }
+        rows, found = _family("core", c3, [9, 0, 0])
+        assert [(r.name, r.status) for r in rows] == [
+            ("conservation", PASS),
+            ("no_gain", PASS),
+            ("abundant_monotone", PASS),
+        ]
+        assert found == {}
 
     def test_abundant_set_shrinks_along_suite_traces(self, c4):
         # spot check on a below-threshold oscillator too
-        trace = cf.run(c4, [2, 0, 2, 0], 20)
-        assert cf.check_core_invariants(c4, trace).ok
+        rows, _ = _family("core", c4, [2, 0, 2, 0])
+        assert {r.status for r in rows} == {PASS}
 
     def test_failure_reports_are_pinned(self):
-        """No real game fails these rows, so a trace is built by hand.
+        """No real game fails these rows, so a record is built by hand.
 
         Round 2 breaks conservation and lets vertices 1 and 8 both gain by
         firing; round 3 lets both enter the abundant set.  Each row
-        reports its first failing round and, within it, the lowest
-        vertex, though frozenset({1, 8}) iterates 8 first.
+        reports its first failing round and, within it, the lowest vertex.
         """
         g = cf.generate("cycle", 10)  # every degree 2, abundant at >= 4
-        ones = [1] * 10
-        steps = [
-            ((), ones),
-            ((1, 8), [1, 2, 1, 1, 1, 1, 1, 1, 3, 1]),
-            ((3,), [1, 5, 1, 1, 1, 1, 1, 1, 4, 1]),
-            ((0,), [2, 5, 1, 1, 1, 1, 1, 1, 4, 1]),
+        ones = (1,) * 10
+        states = [
+            ones,
+            ones,
+            (1, 2, 1, 1, 1, 1, 1, 1, 3, 1),
+            (1, 5, 1, 1, 1, 1, 1, 1, 4, 1),
+            (2, 5, 1, 1, 1, 1, 1, 1, 4, 1),
         ]
-        rounds = tuple(
-            cf.RoundRecord(t, frozenset(f), cf.Configuration.of(candy))
-            for t, (f, candy) in enumerate(steps, 1)
-        )
-        trace = cf.GameTrace(cf.Configuration.of(ones), rounds, cf.StopReason.BUDGET)
-        report = cf.check_core_invariants(g, trace)
-        assert [(r.name, r.status, r.counterexample) for r in report.checks] == [
+        fired = [(), (1, 8), (3,), (0,)]
+        rows, found = _hand_fold("core", g, 10, states, fired)
+        assert [(r.name, r.status, r.counterexample) for r in rows] == [
             ("conservation", FAIL, {"round": 2, "observed": 13, "expected": 10}),
             ("no_gain", FAIL, {"round": 2, "vertex": 1, "before": 1, "after": 2}),
             ("abundant_monotone", FAIL, {"round": 3, "vertex": 1, "before": 2, "after": 5}),
         ]
-        assert report.metadata == {"c": 10, "rounds_recorded": 4}
+        assert found == {}
 
 
 class TestPassCountGaps:
     def test_adjacent_and_pairwise(self, c3):
-        trace = cf.run(c3, [9, 0, 0], 50)
-        report = cf.check_pass_count_gaps(c3, trace)
-        assert report.ok
+        rows, _ = _family("pass_gaps", c3, [9, 0, 0])
+        assert [(r.name, r.status) for r in rows] == [
+            ("adjacent_pass_gap", PASS),
+            ("pairwise_pass_gap", PASS),
+        ]
 
     def test_gate_rejects_disconnected(self):
         g = cf.Graph.build(4, [(0, 1), (2, 3)])
-        trace = cf.run(g, [1, 0, 0, 0], 5)
         with pytest.raises(Disconnected):
-            cf.check_pass_count_gaps(g, trace)
+            cf.verify_battery(g, [1, 0, 0, 0])
+        with pytest.raises(Disconnected):
+            cf.exhaustive_verify(g, 1, "battery")
 
     def test_gate_rejects_single_vertex(self):
         g = cf.Graph.build(1, [])
-        trace = cf.run(g, [3], 5)
         with pytest.raises(InvalidGraph):
-            cf.check_pass_count_gaps(g, trace)
+            cf.verify_battery(g, [3])
+        with pytest.raises(InvalidGraph):
+            cf.exhaustive_verify(g, 3, "battery")
 
 
-def _hand_trace(g, initial, fired_sets):
-    """A trace built by hand: only its fired sets are meaningful, every
-    configuration is the initial one."""
-    initial = cf.Configuration.of(initial)
-    rounds = tuple(
-        cf.RoundRecord(t, frozenset(fired), initial) for t, fired in enumerate(fired_sets, 1)
-    )
-    return cf.GameTrace(initial, rounds, cf.StopReason.BUDGET)
+def _hand_record(initial, fired_sets):
+    """A record built by hand: only its fired tuples (ascending) are
+    meaningful, every state is the initial one."""
+    fired = [tuple(sorted(f)) for f in fired_sets]
+    return [tuple(initial)] * (len(fired) + 1), fired
 
 
-def _brute_force_gaps(g, trace):
+def _brute_force_gaps(g, c, fired):
     """First violation of each gap claim, scanning every round and every
     pair with distances from a fresh BFS; None where the claim holds."""
     neighbors = neighbor_map(g)
@@ -121,10 +133,12 @@ def _brute_force_gaps(g, trace):
                     d[w] = d[u] + 1
                     queue.append(w)
         dist.append(d)
-    c = trace.initial.total
     adjacent = pairwise = None
-    for t in range(len(trace.rounds) + 1):
-        p = trace.pass_at(t)
+    p = [0] * g.n
+    for t in range(len(fired) + 1):
+        if t:
+            for v in fired[t - 1]:
+                p[v] += 1
         for u in range(g.n):
             for w in range(u + 1, g.n):
                 gap = abs(p[u] - p[w])
@@ -136,10 +150,9 @@ def _brute_force_gaps(g, trace):
     return adjacent, pairwise
 
 
-def _gap_counterexamples(g, trace):
-    report = cf.check_pass_count_gaps(g, trace)
-    return tuple(report.get(name).counterexample
-                 for name in ("adjacent_pass_gap", "pairwise_pass_gap"))
+def _gap_counterexamples(g, c, record):
+    rows, _ = _hand_fold("pass_gaps", g, c, *record)
+    return tuple(row.counterexample for row in rows)
 
 
 class TestPairwiseShortcut:
@@ -155,18 +168,19 @@ class TestPairwiseShortcut:
         # c = 1; pass counts (1,0,0,0), (2,1,0,0), (3,2,0,0), (3,2,1,1):
         # in round 2 pair (0, 2) sits exactly at its bound 2; in round 3
         # edge (1, 2) exceeds c, but pair (0, 2) comes first in pair order
-        trace = _hand_trace(p4, [1, 0, 0, 0], [{0}, {0, 1}, {0, 1}, {2, 3}])
-        adjacent, pairwise = _gap_counterexamples(p4, trace)
+        record = _hand_record([1, 0, 0, 0], [{0}, {0, 1}, {0, 1}, {2, 3}])
+        adjacent, pairwise = _gap_counterexamples(p4, 1, record)
         assert adjacent == {"round": 3, "pair": [1, 2], "observed": 2, "bound": 1}
         assert pairwise == {"round": 3, "pair": [0, 2], "observed": 3, "bound": 2}
-        assert (adjacent, pairwise) == _brute_force_gaps(p4, trace)
+        assert (adjacent, pairwise) == _brute_force_gaps(p4, 1, record[1])
 
     def test_wide_gaps_within_distance_bound_pass(self, p4):
         # every edge gap stays at c = 1 while pair (0, 3) reaches 3 = dist * c
-        trace = _hand_trace(p4, [1, 0, 0, 0], [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}])
-        assert cf.check_pass_count_gaps(p4, trace).ok
-        assert _gap_counterexamples(p4, trace) == (None, None)
-        assert _brute_force_gaps(p4, trace) == (None, None)
+        record = _hand_record([1, 0, 0, 0], [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}])
+        rows, _ = _hand_fold("pass_gaps", p4, 1, *record)
+        assert {r.status for r in rows} == {PASS}
+        assert _gap_counterexamples(p4, 1, record) == (None, None)
+        assert _brute_force_gaps(p4, 1, record[1]) == (None, None)
 
     def test_random_traces_match_brute_force(self):
         rng = cf.SplitMix64(2024)
@@ -177,8 +191,9 @@ class TestPairwiseShortcut:
             initial[0] = rng.below(3)
             fired_sets = [{v for v in range(n) if rng.chance(0.4)}
                           for _ in range(1 + rng.below(12))]
-            trace = _hand_trace(g, initial, fired_sets)
-            assert _gap_counterexamples(g, trace) == _brute_force_gaps(g, trace), i
+            record = _hand_record(initial, fired_sets)
+            c = initial[0]
+            assert _gap_counterexamples(g, c, record) == _brute_force_gaps(g, c, record[1]), i
 
 
 class TestGapCheckpoints:
@@ -192,9 +207,9 @@ class TestGapCheckpoints:
 
     @staticmethod
     def _found(g, c, fired_sets):
-        trace = _hand_trace(g, [c] + [0] * (g.n - 1), fired_sets)
-        found = _gap_counterexamples(g, trace)
-        assert found == _brute_force_gaps(g, trace)
+        record = _hand_record([c] + [0] * (g.n - 1), fired_sets)
+        found = _gap_counterexamples(g, c, record)
+        assert found == _brute_force_gaps(g, c, record[1])
         return found
 
     def test_climb_from_a_plateau(self, p3):
@@ -247,21 +262,25 @@ class TestGapCheckpoints:
         assert [(r.status, r.counterexample, r.detail) for r in rows] == [(PASS, None, "")] * 2
         trace = cf.run(g, init, g.n * g.diameter * c + 1)
         assert len(trace.rounds) == 6733
-        assert _gap_counterexamples(g, trace) == (None, None)
+        fired = [rec.fired for rec in trace.rounds]
+        assert _gap_counterexamples(g, c, _hand_record(init, fired)) == (None, None)
         # the same 6 733 fired tuples against smaller bounds, with the first
         # failing round and edge found from running counts round by round
-        widest = [max(abs(p[u] - p[w]) for u, w in g.edges)
-                  for p in trace.running_pass_counts()]
+        counts = [0] * g.n
+        widest = []
+        for f in fired:
+            for v in f:
+                counts[v] += 1
+            widest.append(max(abs(counts[u] - counts[w]) for u, w in g.edges))
         assert max(widest) == 137
-        fired = [rec.fired for rec in trace.rounds]
         for bound in (3, 20, 50, 100, 136):
             t = next(t for t, gap in enumerate(widest, 1) if gap > bound)
-            p = _hand_trace(g, init, fired[:t]).pass_at(t)
+            p = trace.pass_at(t)
             edge = next([u, w] for u, w in g.edges if abs(p[u] - p[w]) > bound)
             pair = next([u, w] for u in range(g.n) for w in range(u + 1, g.n)
                         if abs(p[u] - p[w]) > (w - u) * bound)
             adjacent, pairwise = _gap_counterexamples(
-                g, _hand_trace(g, [bound] + [0] * (g.n - 1), fired))
+                g, bound, _hand_record([bound] + [0] * (g.n - 1), fired))
             assert adjacent == {"round": t, "pair": edge, "observed": bound + 1,
                                 "bound": bound}
             assert pairwise["round"] == t and pairwise["pair"] == pair
@@ -269,38 +288,40 @@ class TestGapCheckpoints:
 
 class TestAlwaysFiring:
     def test_above_threshold(self, c3):
-        trace = cf.run(c3, [9, 0, 0], 50)
-        report = cf.check_always_firing(c3, trace)
-        assert report.ok
-        assert report.get("always_firing").status == PASS
-        assert report.metadata["always_firing_witness"] == 0
+        rows, found = _family("always_firing", c3, [9, 0, 0])
+        assert {r.status for r in rows} == {PASS}
+        assert found == {"always_firing_witness": 0}
 
     def test_below_threshold_is_not_applicable(self, c3):
-        trace = cf.run(c3, [1, 0, 0], 5)
-        report = cf.check_always_firing(c3, trace)
-        for r in report.checks:
-            assert r.status == NOT_APPLICABLE
+        rows, found = _family("always_firing", c3, [1, 0, 0])
+        assert [(r.status, r.detail) for r in rows] == [
+            (NOT_APPLICABLE, "c=1 below threshold 9")] * 3
+        assert found == {}
         # not_applicable still counts as "no failure"
-        assert report.ok
+        assert analysis.VerificationReport(tuple(rows)).ok
 
 
 class TestStabilizationBound:
     def test_triangle_within_bound(self, c3):
-        report = cf.check_stabilization_bound(c3, [9, 0, 0])
-        assert report.ok
+        report = cf.verify_battery(c3, [9, 0, 0])
+        rows = [report.get(name) for name in ("stabilized_within_bound", "idle_gap")]
+        assert [r.status for r in rows] == [PASS, PASS]
         md = report.metadata
         assert md["bound"] == 27 and md["stab_round"] == 2 and md["slack"] == 25
 
     def test_below_threshold_not_applicable(self, c4):
-        report = cf.check_stabilization_bound(c4, [2, 0, 2, 0])
-        assert all(r.status == NOT_APPLICABLE for r in report.checks)
+        rows, found = _family("bound", c4, [2, 0, 2, 0])
+        assert all(r.status == NOT_APPLICABLE for r in rows) and found == {}
+        report = cf.verify_battery(c4, [2, 0, 2, 0])
+        assert report.get("stabilized_within_bound").status == NOT_APPLICABLE
+        assert report.get("idle_gap").status == NOT_APPLICABLE
 
     @pytest.mark.parametrize("config", [[1, 2], [1, 2, 30], [0, 0, 3, 0, 0]])
     def test_length_is_checked_below_and_above_the_threshold(self, c4, config):
-        # totals 3, 33 and 3 against the threshold 12: the battery's error
-        # at every c, though only an above-threshold c is walked
+        # totals 3, 33 and 3 against the threshold 12: the same error at
+        # every c, from the battery and from its check of one composition
         message = f"configuration has {len(config)} entries for n=4"
-        for check in (cf.check_stabilization_bound, cf.verify_battery):
+        for check in (cf.verify_battery, cf.NAMED_CHECKS["battery"]):
             with pytest.raises(SizeMismatch, match=message):
                 check(c4, config)
 
@@ -342,14 +363,10 @@ class TestBattery:
         details = {"always_firing": always, "stabilized_within_bound": within}
         battery = cf.verify_battery(g, config)
         assert {r.name: r.detail for r in battery.checks if r.detail} == details
-        firing = cf.check_always_firing(g, cf.run(g, config, 100))
-        assert [(r.name, r.status, r.detail) for r in firing.checks] == [
+        assert [(r.name, r.status, r.detail) for r in battery.checks[5:10]] == [
             ("fired_nonempty", PASS, ""),
             ("always_firing", PASS, always),
             ("surplus_pigeonhole", PASS, ""),
-        ]
-        report = cf.check_stabilization_bound(g, config)
-        assert [(r.name, r.status, r.detail) for r in report.checks] == [
             ("stabilized_within_bound", PASS, within),
             ("idle_gap", PASS, ""),
         ]
@@ -487,12 +504,22 @@ class TestVerifyCorpus:
         with pytest.raises(ValueError):
             cf.verify_corpus(c3, 9, mode="creative")
 
+    def test_negative_enum_cap_is_refused(self, c3):
+        with pytest.raises(ValueError, match="^enumeration cap must be >= 0, got -3$"):
+            cf.verify_corpus(c3, 9, enum_cap=-3)
+        # a sampled scan enumerates nothing and reads no enumeration cap
+        assert cf.verify_corpus(c3, 9, "sampled", trials=2, seed=0, enum_cap=-3)["ok"]
+
 
 def _no_draw(*args):
     raise AssertionError("drew a configuration")
 
 
 class TestThresholdProbe:
+    def test_negative_cap_is_refused(self, c3):
+        with pytest.raises(ValueError, match="^enumeration cap must be >= 0, got -1$"):
+            cf.threshold_probe(c3, 2, cap=-1)
+
     def test_negative_c_max_is_refused_before_any_scan(self, c3, monkeypatch):
         monkeypatch.setattr(analysis, "exhaustive_verify", _no_draw)
         with pytest.raises(ValueError, match="c_max must be >= 0"):
@@ -646,26 +673,13 @@ class TestRandomInstanceSuite:
 
 
 def test_named_checks_registry(c3):
-    assert set(cf.NAMED_CHECKS) == {
-        "stabilizes",
-        "bound",
-        "pass_gaps",
-        "always_firing",
-        "core",
-        "battery",
-    }
-    for name in ("stabilizes", "core", "pass_gaps", "battery"):
+    assert set(cf.NAMED_CHECKS) == {"stabilizes", "battery"}
+    for name in ("stabilizes", "battery"):
         assert cf.NAMED_CHECKS[name](c3, (9, 0, 0)) is None
-
-
-def test_named_checks_threshold_gates(c3):
-    with pytest.raises(ValueError):
-        cf.NAMED_CHECKS["bound"](c3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        cf.NAMED_CHECKS["always_firing"](c3, (1, 0, 0))
-
-
-GATED_CHECKS = ("bound", "pass_gaps", "always_firing", "battery")
+    # the check families are reached through the battery only
+    for name in ("core", "pass_gaps", "always_firing", "bound"):
+        with pytest.raises(ValueError, match=f"unknown check '{name}'"):
+            cf.exhaustive_verify(c3, 9, name)
 
 
 class TestGateOncePerGraph:
@@ -679,53 +693,41 @@ class TestGateOncePerGraph:
 
         monkeypatch.setattr(graph, "validate", counting)
         g = cf.generate("cycle", 4)
-        for check in GATED_CHECKS:
-            result = cf.exhaustive_verify(g, 12, check)
+        for _ in range(2):
+            result = cf.exhaustive_verify(g, 12, "battery")
             assert result.passed and result.configs_checked == 455
+        assert cf.verify_corpus(g, 12)["ok"]
+        assert cf.verify_corpus(g, 12, "sampled", trials=20, seed=1)["ok"]
         assert calls == [g]
 
     def test_exception_order(self):
         split = cf.Graph.build(4, [(0, 1), (2, 3)])  # threshold 4
         single = cf.Graph.build(1, [])
         for _ in range(2):  # a kept verdict raises as the first one did
-            for check in GATED_CHECKS:
-                # the enumeration cap comes before any check runs
-                with pytest.raises(ResourceExhausted):
-                    cf.exhaustive_verify(split, 3, check, cap=2)
+            # the enumeration cap comes before any check runs
+            with pytest.raises(ResourceExhausted):
+                cf.exhaustive_verify(split, 3, "battery", cap=2)
+            for c in (3, 4):  # below the threshold as above it
                 with pytest.raises(Disconnected):
-                    cf.exhaustive_verify(split, 4, check)
-                with pytest.raises(InvalidGraph):
-                    cf.exhaustive_verify(single, 2, check)
-            # below the threshold the ValueError comes before Disconnected
-            for check in ("bound", "always_firing"):
-                with pytest.raises(ValueError):
-                    cf.exhaustive_verify(split, 3, check)
-            for check in ("pass_gaps", "battery"):
-                with pytest.raises(Disconnected):
-                    cf.exhaustive_verify(split, 3, check)
+                    cf.exhaustive_verify(split, c, "battery")
+            with pytest.raises(InvalidGraph):
+                cf.exhaustive_verify(single, 2, "battery")
 
 
 def test_named_checks_agree_with_battery_rows(c4, p4, star4):
-    families = {
-        "core": ("conservation", "no_gain", "abundant_monotone"),
-        "pass_gaps": ("adjacent_pass_gap", "pairwise_pass_gap"),
-        "always_firing": ("fired_nonempty", "always_firing", "surplus_pigeonhole"),
-        "bound": ("stabilized_within_bound", "idle_gap"),
-    }
+    # the battery's check of one composition gives the first failing row
+    # of verify_battery's report, and a periodic orbit's cycle witness
     for g in (c4, p4, star4):
-        threshold = cf.stabilization_threshold(g)
-        for c in range(threshold + 2):
+        for c in range(cf.stabilization_threshold(g) + 2):
             for comp in cf.enumerate_configs(g.n, c):
                 report = cf.verify_battery(g, comp)
-                for name, rows in families.items():
-                    if name in ("always_firing", "bound") and c < threshold:
-                        continue
-                    failing = [r for r in rows if report.get(r).status == FAIL]
-                    expected = None
-                    if failing:
-                        expected = {"check": failing[0],
-                                    **report.get(failing[0]).counterexample}
-                    assert cf.NAMED_CHECKS[name](g, comp) == expected, (name, g.edges, comp)
+                failing = [r for r in report.checks if r.status == FAIL]
+                expected = None
+                if failing:
+                    expected = {"check": failing[0].name, **failing[0].counterexample}
+                    if failing[0].name == "stabilizes":
+                        expected["witness_config"] = tuple(expected["cycle_min"])
+                assert cf.NAMED_CHECKS["battery"](g, comp) == expected, (g.edges, comp)
 
 
 def _scan_verdict(check, comp):
@@ -841,16 +843,19 @@ class TestBatteryScanVerdict:
 
 @pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
 def test_stabilization_bound_matches_battery(spec):
+    # the bound fold's rows and values are the battery's rows and metadata
     g = cf.generate(*spec)
     threshold = cf.stabilization_threshold(g)
-    rows = ("stabilized_within_bound", "idle_gap")
+    names = ("stabilized_within_bound", "idle_gap")
     keys = ("bound", "gap_bound", "stab_round", "slack")
     for c in range(threshold, threshold + 3):
         for comp in cf.enumerate_configs(g.n, c):
-            bound = cf.check_stabilization_bound(g, comp)
+            rows, found = _family("bound", g, comp)
             battery = cf.verify_battery(g, comp)
-            assert bound.checks == tuple(battery.get(r) for r in rows), comp
-            assert [bound.metadata[k] for k in keys] == [battery.metadata[k] for k in keys], comp
+            assert [(r.name, r.status, r.counterexample) for r in rows] == [
+                (r, battery.get(r).status, battery.get(r).counterexample) for r in names], comp
+            assert set(found) == set(keys), comp
+            assert [found[k] for k in keys] == [battery.metadata[k] for k in keys], comp
 
 
 def test_enumeration_cap_before_state_cap(monkeypatch):
@@ -892,12 +897,6 @@ class TestNamedScans:
         threshold = cf.stabilization_threshold(g)
         for c in range(threshold + 2):
             for name in cf.NAMED_CHECKS:
-                if name in ("bound", "always_firing") and c < threshold:
-                    with pytest.raises(ValueError):
-                        cf.exhaustive_verify(g, c, name)
-                    with pytest.raises(ValueError):
-                        _scan_one_at_a_time(g, c, name)
-                    continue
                 res = cf.exhaustive_verify(g, c, name)
                 ce = res.counterexample
                 got = (res.passed, res.configs_checked,
@@ -1003,6 +1002,29 @@ def test_one_composition_check_walks_its_whole_orbit(c4):
     # composition must not stop there
     assert cf.NAMED_CHECKS["stabilizes"](c4, (2, 0, 2, 0)) == {
         "kind": "periodic", "preperiod": 0, "period": 2, "witness_config": (0, 2, 0, 2)}
+
+
+@given(small_connected_graphs(max_n=6, dense_n=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_outcomes_are_invariant_under_relabelling(g, data):
+    # vertex v of g is vertex pi[v] of h: the same game under other names
+    pi = data.draw(st.permutations(range(g.n)))
+    h = cf.Graph.build(g.n, [(pi[u], pi[w]) for u, w in g.edges])
+    c = data.draw(st.integers(min_value=0, max_value=4 * g.m - g.n + 2))
+    candy = cf.random_config(g.n, c, data.draw(st.integers(0, 2**64 - 1))).candy
+    moved = [0] * g.n
+    for v, x in enumerate(candy):
+        moved[pi[v]] = x
+    before, after = cf.classify(g, candy), cf.classify(h, moved)
+    if isinstance(before, cf.Stabilized):
+        fixed = [0] * g.n
+        for v, x in enumerate(before.fixed.candy):
+            fixed[pi[v]] = x
+        assert after == cf.Stabilized(before.stab_round, cf.Configuration.of(fixed))
+    else:
+        assert after == before
+    statuses = [(r.name, r.status) for r in cf.verify_battery(g, candy).checks]
+    assert [(r.name, r.status) for r in cf.verify_battery(h, moved).checks] == statuses
 
 
 def _higher_end_outdegrees(g):
@@ -1159,29 +1181,51 @@ def test_library_writes_nothing_to_stdout(capsys, c3, c4):
 
 
 def test_firing_failure_reports_are_pinned(c3):
-    # no real game above the threshold fails these rows, so a trace is built
+    # no real game above the threshold fails these rows, so a record is built
     # by hand: nobody fires in round 3, and no vertex fires in both rounds 1 and 2
-    trace = _hand_trace(c3, [9, 0, 0], [{0}, {1}, set(), {0, 1, 2}])
-    report = cf.check_always_firing(c3, trace)
-    assert [(r.name, r.status, r.counterexample) for r in report.checks] == [
+    record = _hand_record([9, 0, 0], [{0}, {1}, set(), {0, 1, 2}])
+    rows, found = _hand_fold("always_firing", c3, 9, *record)
+    assert [(r.name, r.status, r.counterexample) for r in rows] == [
         ("fired_nonempty", FAIL, {"round": 3}),
         ("always_firing", FAIL, {"empty_after_round": 2}),
         ("surplus_pigeonhole", PASS, None),
     ]
-    assert report.metadata["always_firing_witness"] is None
+    assert found == {"always_firing_witness": None}
+    # every vertex of (2, 2, 2) is short and none holds a surplus
+    rows, found = _hand_fold("always_firing", c3, 6, [(2, 2, 2)] * 2, [(0, 1, 2)])
+    assert [(r.name, r.status, r.counterexample) for r in rows] == [
+        ("fired_nonempty", PASS, None),
+        ("always_firing", PASS, None),
+        ("surplus_pigeonhole", FAIL, {"round": 0, "deficient_vertex": 0}),
+    ]
+    assert found == {"always_firing_witness": 0}
 
 
 def test_idle_gap_fold_past_d_times_c(p3):
     # path:3 has d = 2; with c = 1 the idle cap d * c = 2 is below stab = 5,
     # so the idle runs are measured: vertex 0 idles in rounds 2-4
-    from chipfire.analysis import _bound_checks
-
     states = [(1, 0, 0)]  # read only when the game fails to stabilize in time
-    rows, meta = _bound_checks(p3, 1, states, [(0,), (), (), (), (0, 1, 2)], 5)
+    fired = [(0,), (), (), (), (0, 1, 2)]
+    rows, meta = analysis._fold("bound", p3, 1, 0, states, fired, 5, 1)
     assert [(r.name, r.status, r.counterexample) for r in rows] == [
         ("stabilized_within_bound", PASS, None),
         ("idle_gap", FAIL, {"vertex": 0, "observed": 3, "bound": 2}),
     ]
     assert meta == {"bound": 6, "gap_bound": 2, "stab_round": 5, "slack": 1}
-    rows, _ = _bound_checks(p3, 1, states, [(0, 1, 2)] * 5, 5)
+    rows, _ = analysis._fold("bound", p3, 1, 0, states, [(0, 1, 2)] * 5, 5, 1)
     assert rows[1].status == PASS
+
+
+@pytest.mark.parametrize("preperiod, period, slack", [(7, 1, -1), (3, 2, None)])
+def test_bound_failure_reports_are_pinned(p3, preperiod, period, slack):
+    # a stab round past n * d * c = 6, or a periodic orbit, fails both rows
+    # with the same counterexample
+    states = [(1, 0, 0)]
+    rows, meta = analysis._fold("bound", p3, 1, 0, states, [(0, 1, 2)] * 7, preperiod, period)
+    stab = preperiod if period == 1 else None
+    fail = {"config": [1, 0, 0], "stab_round": stab, "bound": 6}
+    assert [(r.name, r.status, r.counterexample) for r in rows] == [
+        ("stabilized_within_bound", FAIL, fail),
+        ("idle_gap", FAIL, fail),
+    ]
+    assert meta == {"bound": 6, "gap_bound": 2, "stab_round": stab, "slack": slack}

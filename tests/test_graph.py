@@ -59,8 +59,8 @@ class TestBuild:
 
 class TestDistances:
     def test_cycle_distances(self, c4):
-        assert c4.distance[0][2] == 2
-        assert c4.distance[1][3] == 2
+        assert c4.distances_from(0)[2] == 2
+        assert c4.distances_from(1)[3] == 2
         assert c4.diameter == 2
 
     def test_matches_floyd_warshall_on_samples(self):
@@ -73,12 +73,11 @@ class TestDistances:
             g = cf.Graph.build(n, edges)
             ref = floyd_warshall(n, edges)
             for i in range(n):
-                for j in range(n):
-                    assert g.distance[i][j] == ref[i][j]
+                assert g.distances_from(i) == ref[i]
 
     def test_disconnected_marks_unreachable(self):
         g = cf.Graph.build(4, [(0, 1), (2, 3)])
-        assert g.distance[0][2] == -1
+        assert g.distances_from(0)[2] == -1
         for _ in range(2):  # a failed read caches nothing
             with pytest.raises(Disconnected):
                 g.diameter
@@ -113,15 +112,14 @@ class TestReachBuild:
             with pytest.raises(Disconnected):
                 g.diameter
         assert [g.distances_from(src) for src in range(n)] == expected
-        assert g.distance == tuple(tuple(row) for row in expected)
 
     def test_build_keeps_no_distance_matrix(self):
         g = cf.generate("random_connected", 300, p=0.03, seed=1)
-        assert "distance" not in vars(g)
+        assert not hasattr(g, "distance")
         assert g.connected and g.diameter >= max(g.distances_from(0))
-        assert "distance" not in vars(g)
-        assert g.diameter == max(map(max, g.distance))  # built on demand
-        assert "distance" in vars(g)
+        # a BFS per source row gives the distances, and none is kept
+        assert g.diameter == max(max(g.distances_from(src)) for src in range(g.n))
+        assert not hasattr(g, "distance")
 
 
 class TestGenerate:

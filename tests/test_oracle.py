@@ -215,10 +215,20 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError):
             cf.exhaustive_verify(c3, 2, "sparkles")
 
-    def test_threshold_gated_check_refuses_low_c(self, c3):
-        with pytest.raises(ValueError):
-            cf.exhaustive_verify(c3, 2, "bound")
+    def test_family_names_are_unknown_checks(self, c3):
+        # the check families are reached through the battery only
+        for name in ("core", "pass_gaps", "always_firing", "bound"):
+            with pytest.raises(ValueError, match=f"unknown check '{name}'; known: battery, stabilizes"):
+                cf.exhaustive_verify(c3, 9, name)
 
     def test_cap(self, c3):
         with pytest.raises(ResourceExhausted):
             cf.exhaustive_verify(c3, 200, "stabilizes", cap=10)
+
+    def test_negative_cap_is_an_input_error(self, c3):
+        # a cap of 0 is a cap every scan exceeds; a negative one is refused
+        with pytest.raises(ResourceExhausted):
+            cf.exhaustive_verify(c3, 2, "stabilizes", cap=0)
+        for check in ("stabilizes", "battery"):
+            with pytest.raises(ValueError, match="^enumeration cap must be >= 0, got -1$"):
+                cf.exhaustive_verify(c3, 2, check, cap=-1)

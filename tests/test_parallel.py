@@ -26,10 +26,46 @@ def test_configuration_names_first_negative():
         cf.Configuration.of([1, -2, -5])
 
 
-def test_configuration_coerces_bools_and_floats():
-    conf = cf.Configuration.of([True, 2.9, False, 3])
+class _Count:
+    """An integer type of its own: it has __index__ and is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_configuration_takes_bools_and_refuses_floats():
+    conf = cf.Configuration.of([True, _Count(2), False, 3])
     assert conf.candy == (1, 2, 0, 3) and conf.total == 6
     assert all(type(v) is int for v in conf.candy)
+    for bad in (2.9, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"^candy count {bad!r} is not an integer$"):
+            cf.Configuration.of([1, bad, 0])
+
+
+NOT_INTEGERS = (st.floats(allow_nan=True) | st.just(float("nan")) | st.text(max_size=3)
+                | st.none() | st.sampled_from(["1", "0x2", 1.7, 0.0]))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4),
+       st.integers(min_value=0, max_value=3), NOT_INTEGERS)
+@settings(max_examples=60, deadline=None)
+def test_non_integer_candy_is_refused_everywhere(candy, at, bad):
+    # a truncated answer or a bare TypeError would both be wrong
+    g = cf.generate("cycle", 4)
+    config = list(candy)
+    config[at] = bad
+    entry_points = (
+        lambda: cf.classify(g, config),
+        lambda: cf.run(g, config, 10),
+        lambda: cf.verify_battery(g, config),
+        lambda: seq_run(g, config, "lowest_index"),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
 
 
 def test_configuration_empty_and_generator_inputs():
@@ -108,14 +144,18 @@ class TestRun:
 
     def test_running_pass_counts_match_pass_at(self):
         # games that stabilize, that oscillate, and that stop on their
-        # budget, from a few seeded starts at totals below and above 4m - n
+        # budget, from a few seeded starts at totals below and above 4m - n:
+        # pass_at(t) is the running count of each vertex's firings
         for g in GRAPH_POOL:
             for c in (g.m, 3 * g.m, 4 * g.m - g.n):
                 for seed, budget in ((0, 0), (1, 5), (2, 200)):
                     trace = cf.run(g, cf.random_config(g.n, c, seed), budget)
-                    rounds = len(trace.rounds)
-                    running = list(trace.running_pass_counts())
-                    assert running == [trace.pass_at(t) for t in range(1, rounds + 1)]
+                    counts = [0] * g.n
+                    assert trace.pass_at(0) == tuple(counts)
+                    for t, rec in enumerate(trace.rounds, 1):
+                        for v in rec.fired:
+                            counts[v] += 1
+                        assert trace.pass_at(t) == tuple(counts)
 
     def test_trace_keeps_no_pass_count_column(self):
         assert [f.name for f in fields(cf.GameTrace)] == ["initial", "rounds", "stop"]
@@ -143,10 +183,6 @@ class TestRun:
             tracemalloc.stop()
         assert len(trace.rounds) == 6733
         assert peak < 12_000_000
-
-    def test_vertex_stabilization_rounds(self, p3):
-        trace = cf.run(p3, [5, 0, 0], 50)
-        assert trace.vertex_stabilization_rounds() == (4, 5, 5)
 
     def test_max_rounds_validation(self, c3):
         with pytest.raises(ValueError):
