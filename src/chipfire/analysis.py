@@ -19,22 +19,22 @@ The checks have one way in, the battery.  It walks each orbit once
 keeping the states 0..T and the ascending tuple each round fired: the
 whole game for a stabilizing configuration, preperiod plus two periods
 for an oscillating one.  Each check family is one fold over that record,
-and one table (_FAMILIES) says which rows each family reports and
-whether it needs c >= 4m - n; _battery_fold, the folds' one caller,
-reads every family off it.  A GameTrace from run is not checked.
+and _battery_fold, the folds' one caller, calls the four in report order
+(CHECK_ORDER); below c = 4m - n it builds the firing and bound rows
+(_ABOVE_THRESHOLD) as not_applicable itself.  A GameTrace from run is
+not checked.
 
-The folds return verdict rows and the values they found, nothing more: a
-passing row is one shared immutable CheckResult (_PASSED), and a failing
-row carries its counterexample.  Only a returned report carries details
-and metadata: _report adds the pass details (the always-firing witness,
-the stab_round within its bound) from the found values, and
-verify_battery adds its metadata, abundance counts included.  A battery
-scan reads each composition's verdict off its one walk (_battery_scan)
-and folds rows (_battery_fold) only for a composition that fails or
-that the verdict loop cannot settle.  sweep_experiment reads each row
-off one record of its orbit and runs no fold: its witness and its bound
-and slack come from the helpers the firing and bound folds call
-(_always_firing_witness, _bound_and_slack), so a row says what the
+Each fold returns its finished rows and nothing else: a passing row
+with its details (the always-firing witness vertex, the stab_round
+within its bound), a failing row with its counterexample.  Nothing is
+added to a row afterwards.  verify_battery's metadata is read off the
+same record, with the bound, slack and witness from the helpers the
+folds call (_bound_and_slack, _always_firing_witness) and the abundance
+counts from _abundant_count.  A battery scan reads each composition's
+verdict off its one walk (_battery_scan) and folds rows (_battery_fold)
+only for a composition that fails or that the verdict loop cannot
+settle.  sweep_experiment reads each row off one record of its orbit
+with the same helpers and runs no fold, so a row says what the
 battery's metadata would.  The per-graph constants the folds read (the
 abundance bars 2 * deg, the short bars 2 * deg - 2, the edge endpoints
 as two columns) are cached on the Graph (twice_degree, short_bar,
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
 from operator import attrgetter, ge, le, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import Disconnected, InvalidGraph
 from .graph import Graph, stabilization_threshold
@@ -85,6 +85,7 @@ from .oracle import (
 from .parallel import (
     _BRENT_BUDGET_FACTOR,
     Configuration,
+    _as_count,
     _coerce,
     _complete_record,
     _default_state_cap,
@@ -96,24 +97,18 @@ from .parallel import (
 from .rng import SplitMix64, derive_seed
 
 
-class _Family(NamedTuple):
-    fold: str  # module-global name, looked up at each call so a rebound fold runs
-    rows: tuple[str, ...]
-    above_threshold: bool  # needs c >= 4m - n; below it the rows are not_applicable
-
-
-# the four claim families, in report order
-_FAMILIES = {
-    "core": _Family("_core_checks", ("conservation", "no_gain", "abundant_monotone"), False),
-    "pass_gaps": _Family("_gap_checks", ("adjacent_pass_gap", "pairwise_pass_gap"), False),
-    "always_firing": _Family(
-        "_firing_checks", ("fired_nonempty", "always_firing", "surplus_pigeonhole"), True
-    ),
-    "bound": _Family("_bound_checks", ("stabilized_within_bound", "idle_gap"), True),
-}
-
-CHECK_ORDER = tuple(row for family in _FAMILIES.values() for row in family.rows) + (
+# the battery's rows in report order, one line per claim family
+CHECK_ORDER = (
+    "conservation", "no_gain", "abundant_monotone",
+    "adjacent_pass_gap", "pairwise_pass_gap",
+    "fired_nonempty", "always_firing", "surplus_pigeonhole",
+    "stabilized_within_bound", "idle_gap",
     "stabilizes",
+)
+
+# the firing and bound rows need c >= 4m - n; below it they are not_applicable
+_ABOVE_THRESHOLD = (
+    "fired_nonempty", "always_firing", "surplus_pigeonhole", "stabilized_within_bound", "idle_gap"
 )
 
 FINITE_CHECK_NOTE = (
@@ -135,9 +130,6 @@ class CheckResult:
     detail: str = ""
 
 
-# A fold's passing row is the same immutable instance every time, so a
-# corpus scan does not build one per row per configuration.
-_PASSED = {name: CheckResult(name, PASS) for name in CHECK_ORDER}
 _status = attrgetter("status")
 
 
@@ -198,10 +190,11 @@ def _abundant_count(candy: Sequence[int], twice: Sequence[int]) -> int:
 # check families: folds over an orbit's states (states[t] after t rounds)
 # and fired sets (fired[t - 1] fired in round t), with stab the round the
 # orbit reached its fixed point (None if it never did); each returns its
-# verdict rows (every pass the shared _PASSED row) and the values it found
+# finished rows, a pass with its details and a failure with its
+# counterexample
 
 
-def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
+def _core_checks(g: Graph, c: int, states, fired, stab) -> list[CheckResult]:
     twice = g.twice_degree
     conservation = no_gain = monotone = None
     prev = None
@@ -235,13 +228,13 @@ def _core_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResul
             break
         prev = cur
     return [
-        conservation or _PASSED["conservation"],
-        no_gain or _PASSED["no_gain"],
-        monotone or _PASSED["abundant_monotone"],
-    ], {}
+        conservation or CheckResult("conservation", PASS),
+        no_gain or CheckResult("no_gain", PASS),
+        monotone or CheckResult("abundant_monotone", PASS),
+    ]
 
 
-def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
+def _gap_checks(g: Graph, c: int, states, fired, stab) -> list[CheckResult]:
     """Cumulative fire-count gaps, read only at rounds that can fail.
 
     Along a shortest path a pair's gap is at most the sum of its edge
@@ -261,50 +254,49 @@ def _gap_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult
     checkpoint that exceeds c does so by exactly 1 and is the first
     failing round; the first edge over c is looked up only there.
     """
-    if len(fired) <= c:
-        return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
-    us, ws = g.edge_ends
-    cum = Counter(dict.fromkeys(range(g.n), 0))
-    count = cum.__getitem__
-    rounds = iter(fired)
-    t, nxt = 0, c + 1
-    while nxt <= len(fired):
-        cum.update(chain.from_iterable(islice(rounds, nxt - t)))
-        t = nxt
-        gap = max(map(abs, map(sub, map(count, us), map(count, ws))))
-        if gap > c:
-            eu, ew = next((u, w) for u, w in g.edges if abs(cum[u] - cum[w]) > c)
-            u, w, bound = next(
-                (u, w, dist[w] * c)
-                for u in range(g.n)
-                for dist in (g.distances_from(u),)
-                for w in range(u + 1, g.n)
-                if abs(cum[u] - cum[w]) > dist[w] * c
-            )
-            return [
-                CheckResult(
-                    "adjacent_pass_gap",
-                    FAIL,
-                    {
-                        "round": t,
-                        "pair": [eu, ew],
-                        "observed": abs(cum[eu] - cum[ew]),
-                        "bound": c,
-                    },
-                ),
-                CheckResult(
-                    "pairwise_pass_gap",
-                    FAIL,
-                    {
-                        "round": t,
-                        "pair": [u, w],
-                        "observed": abs(cum[u] - cum[w]),
-                        "bound": bound,
-                    },
-                ),
-            ], {}
-        nxt = t + c - gap + 1
-    return [_PASSED["adjacent_pass_gap"], _PASSED["pairwise_pass_gap"]], {}
+    if len(fired) > c:
+        us, ws = g.edge_ends
+        cum = Counter(dict.fromkeys(range(g.n), 0))
+        count = cum.__getitem__
+        rounds = iter(fired)
+        t, nxt = 0, c + 1
+        while nxt <= len(fired):
+            cum.update(chain.from_iterable(islice(rounds, nxt - t)))
+            t = nxt
+            gap = max(map(abs, map(sub, map(count, us), map(count, ws))))
+            if gap > c:
+                eu, ew = next((u, w) for u, w in g.edges if abs(cum[u] - cum[w]) > c)
+                u, w, bound = next(
+                    (u, w, dist[w] * c)
+                    for u in range(g.n)
+                    for dist in (g.distances_from(u),)
+                    for w in range(u + 1, g.n)
+                    if abs(cum[u] - cum[w]) > dist[w] * c
+                )
+                return [
+                    CheckResult(
+                        "adjacent_pass_gap",
+                        FAIL,
+                        {
+                            "round": t,
+                            "pair": [eu, ew],
+                            "observed": abs(cum[eu] - cum[ew]),
+                            "bound": c,
+                        },
+                    ),
+                    CheckResult(
+                        "pairwise_pass_gap",
+                        FAIL,
+                        {
+                            "round": t,
+                            "pair": [u, w],
+                            "observed": abs(cum[u] - cum[w]),
+                            "bound": bound,
+                        },
+                    ),
+                ]
+            nxt = t + c - gap + 1
+    return [CheckResult("adjacent_pass_gap", PASS), CheckResult("pairwise_pass_gap", PASS)]
 
 
 def _always_firing_witness(n: int, fired) -> Optional[int]:
@@ -314,20 +306,20 @@ def _always_firing_witness(n: int, fired) -> Optional[int]:
     return min(common) if common else None
 
 
-def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """The three above-threshold firing guarantees, and the witness vertex
-    (_always_firing_witness).
+def _firing_checks(g: Graph, c: int, states, fired, stab) -> list[CheckResult]:
+    """The three above-threshold firing guarantees; a passing always_firing
+    row names its witness vertex (_always_firing_witness).
 
     The first two are C-level passes over the fired sets; the round where
     one first fails is looked up only when it fails.
     """
-    nonempty = _PASSED["fired_nonempty"]
+    nonempty = CheckResult("fired_nonempty", PASS)
     if not all(fired):
         t = next(t for t, f in enumerate(fired, 1) if not f)
         nonempty = CheckResult("fired_nonempty", FAIL, {"round": t})
     witness = _always_firing_witness(g.n, fired)
     if witness is not None:
-        always = _PASSED["always_firing"]
+        always = CheckResult("always_firing", PASS, detail=f"witness vertex {witness}")
     else:
         common = set(range(g.n))
         for t, f in enumerate(fired, 1):
@@ -336,7 +328,7 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
                 break
         always = CheckResult("always_firing", FAIL, {"empty_after_round": t})
     twice, short = g.twice_degree, g.short_bar
-    pigeonhole = _PASSED["surplus_pigeonhole"]
+    pigeonhole = CheckResult("surplus_pigeonhole", PASS)
     for t, candy in enumerate(states):
         if any(map(le, candy, short)) and not any(map(ge, candy, twice)):
             deficient = next(v for v in range(g.n) if candy[v] <= short[v])
@@ -346,7 +338,7 @@ def _firing_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckRes
                 {"round": t, "deficient_vertex": deficient},
             )
             break
-    return [nonempty, always, pigeonhole], {"always_firing_witness": witness}
+    return [nonempty, always, pigeonhole]
 
 
 def _bound_and_slack(g: Graph, c: int, stab: Optional[int]) -> tuple[int, Optional[int]]:
@@ -356,15 +348,15 @@ def _bound_and_slack(g: Graph, c: int, stab: Optional[int]) -> tuple[int, Option
     return bound, None if stab is None else bound - stab
 
 
-def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResult], dict]:
-    """Round bound n * d * c and idle gaps capped at d * c.
+def _bound_checks(g: Graph, c: int, states, fired, stab) -> list[CheckResult]:
+    """Round bound n * d * c and idle gaps capped at d * c; a passing
+    stabilized_within_bound row names the stab round and the bound.
 
     No vertex idles longer than stab rounds before round stab, so the
     idle runs are measured only when stab exceeds d * c.
     """
-    bound, slack = _bound_and_slack(g, c, stab)
+    bound = _bound_and_slack(g, c, stab)[0]
     gap_bound = g.diameter * c
-    meta = {"bound": bound, "gap_bound": gap_bound, "stab_round": stab, "slack": slack}
     if stab is None or stab > bound:
         fail = {
             "config": list(states[0]),
@@ -374,20 +366,20 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
         return [
             CheckResult("stabilized_within_bound", FAIL, fail),
             CheckResult("idle_gap", FAIL, fail),
-        ], meta
-    within = _PASSED["stabilized_within_bound"]
+        ]
+    within = CheckResult("stabilized_within_bound", PASS, detail=f"stab_round {stab} <= {bound}")
+    idle = CheckResult("idle_gap", PASS)
     if stab <= gap_bound:
-        return [within, _PASSED["idle_gap"]], meta
+        return [within, idle]
     # longest run of idle rounds per vertex within rounds 1..stab, in one pass
     last = [0] * g.n  # round each vertex last fired, 0 before the first round
     longest = [0] * g.n
     for t, f in enumerate(islice(fired, stab), 1):
         for v in f:
-            idle = t - last[v] - 1
-            if idle > longest[v]:
-                longest[v] = idle
+            gap = t - last[v] - 1
+            if gap > longest[v]:
+                longest[v] = gap
             last[v] = t
-    idle = _PASSED["idle_gap"]
     for v in range(g.n):
         gap = max(longest[v], stab - last[v])
         if gap > gap_bound:
@@ -397,66 +389,30 @@ def _bound_checks(g: Graph, c: int, states, fired, stab) -> tuple[list[CheckResu
                 {"vertex": v, "observed": gap, "bound": gap_bound},
             )
             break
-    return [within, idle], meta
-
-
-def _fold(name: str, g: Graph, c: int, threshold: int, states, fired, preperiod, period):
-    """A family's (rows, metadata), folded over one record of an orbit.
-
-    A family that needs c >= 4m - n reports its rows not_applicable below
-    threshold, without reading the record.
-    """
-    family = _FAMILIES[name]
-    if family.above_threshold and c < threshold:
-        detail = f"c={c} below threshold {threshold}"
-        return [CheckResult(row, NOT_APPLICABLE, detail=detail) for row in family.rows], {}
-    stab = preperiod if period == 1 else None
-    return globals()[family.fold](g, c, states, fired, stab)
-
-
-def _report(rows: Iterable[CheckResult], found: dict, metadata: dict) -> VerificationReport:
-    """A returned report: the verdict rows, with the pass details the folds
-    leave out built from the values they found, and the metadata."""
-    checks = []
-    for row in rows:
-        if row.status == PASS and row.name == "always_firing":
-            witness = found["always_firing_witness"]
-            row = CheckResult(row.name, PASS, detail=f"witness vertex {witness}")
-        elif row.status == PASS and row.name == "stabilized_within_bound":
-            detail = f"stab_round {found['stab_round']} <= {found['bound']}"
-            row = CheckResult(row.name, PASS, detail=detail)
-        checks.append(row)
-    return VerificationReport(tuple(checks), metadata)
+    return [within, idle]
 
 
 # ---------------------------------------------------------------------------
 # the full battery: one walk of the orbit, every check folded over it
 
 
-def _battery_rows(g: Graph, initial: Configuration, threshold: int, state_cap=None):
-    """The battery's verdict rows on one orbit of a gated graph, in CHECK_ORDER.
-
-    Returns (rows, found, states, preperiod, period, rounds): the rows and
-    the values the folds found (_battery_fold), and the record's states,
-    preperiod, period and number of rounds, from which verify_battery
-    builds its report.
-    """
-    states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
-    rows, found = _battery_fold(g, initial.total, threshold, states, fired, preperiod, period)
-    return rows, found, states, preperiod, period, len(fired)
-
-
 def _battery_fold(g: Graph, c: int, threshold: int, states, fired, preperiod, period):
-    """The battery's (rows, found) folded over one record of an orbit: the
-    rows in CHECK_ORDER, every pass the shared _PASSED row and every
-    failure with its counterexample, and the values the folds found."""
-    rows, found = [], {}
-    for name in _FAMILIES:
-        family_rows, meta = _fold(name, g, c, threshold, states, fired, preperiod, period)
-        rows += family_rows
-        found.update(meta)
+    """The battery's rows, in CHECK_ORDER, folded over one record of an
+    orbit; below threshold (4m - n) the firing and bound rows are
+    not_applicable and their folds do not run.  Each fold is called by its
+    module-global name, looked up at each call, so a fold rebound on the
+    module (a tracing wrapper, say) is the one that runs.
+    """
+    stab = preperiod if period == 1 else None
+    rows = _core_checks(g, c, states, fired, stab) + _gap_checks(g, c, states, fired, stab)
+    if c >= threshold:
+        rows += _firing_checks(g, c, states, fired, stab)
+        rows += _bound_checks(g, c, states, fired, stab)
+    else:
+        detail = f"c={c} below threshold {threshold}"
+        rows += [CheckResult(row, NOT_APPLICABLE, detail=detail) for row in _ABOVE_THRESHOLD]
     if period == 1:
-        rows.append(_PASSED["stabilizes"])
+        rows.append(CheckResult("stabilizes", PASS))
     else:
         cycle_min = min(states[preperiod:preperiod + period])
         rows.append(
@@ -471,7 +427,7 @@ def _battery_fold(g: Graph, c: int, threshold: int, states, fired, preperiod, pe
                 },
             )
         )
-    return rows, found
+    return rows
 
 
 def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
@@ -481,34 +437,39 @@ def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> Verific
     stabilizing configurations and preperiod + two full periods for
     oscillating ones, which exercises every reachable state of the orbit.
     state_cap bounds the walk's visited map as it bounds classify's.  The
-    folds return verdict rows; only this returned report carries the pass
-    details and the metadata.
+    rows are the folds' own; the metadata is read off the same record, the
+    bound, slack and witness (at c >= 4m - n only) as sweep_experiment's.
     """
     _gate(g)
     initial = config if isinstance(config, Configuration) else Configuration.of(config)
+    c = initial.total
     threshold = stabilization_threshold(g)
-    rows, found, states, preperiod, period, rounds = _battery_rows(
-        g, initial, threshold, state_cap
-    )
+    states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
+    rows = _battery_fold(g, c, threshold, states, fired, preperiod, period)
     stabilized = period == 1
+    bound = gap_bound = slack = witness = None
+    if c >= threshold:
+        bound, slack = _bound_and_slack(g, c, preperiod if stabilized else None)
+        gap_bound = g.diameter * c
+        witness = _always_firing_witness(g.n, fired)
     metadata = {
         "graph": {"n": g.n, "m": g.m, "diameter": g.diameter, "connected": g.connected},
-        "c": initial.total,
+        "c": c,
         "threshold": threshold,
-        "bound": found.get("bound"),
-        "gap_bound": found.get("gap_bound"),
+        "bound": bound,
+        "gap_bound": gap_bound,
         "outcome": "stabilized" if stabilized else "periodic",
         "stab_round": preperiod if stabilized else None,
         "preperiod": None if stabilized else preperiod,
         "period": None if stabilized else period,
-        "slack": found.get("slack"),
-        "always_firing_witness": found.get("always_firing_witness"),
+        "slack": slack,
+        "always_firing_witness": witness,
         "abundant_start": _abundant_count(initial.candy, g.twice_degree),
         "abundant_end": _abundant_count(states[-1], g.twice_degree),
-        "rounds_recorded": rounds,
+        "rounds_recorded": len(fired),
         "finite_check_note": FINITE_CHECK_NOTE,
     }
-    return _report(rows, found, metadata)
+    return VerificationReport(tuple(rows), metadata)
 
 
 def _cycle_states(g: Graph, entry: tuple[int, ...], period: int):
@@ -625,7 +586,7 @@ def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
         # a walk stopped at the cap holds fewer rounds than preperiod + 1
         if period == 1 and len(fired) == preperiod + 1 <= c and passes(states, fired):
             return None
-        return _first_failure(_battery_fold(g, c, threshold, *_complete_record(g, walk))[0])
+        return _first_failure(_battery_fold(g, c, threshold, *_complete_record(g, walk)))
 
     return check
 
@@ -679,8 +640,9 @@ def verify_corpus(
     one); mode "sampled" draws `trials` seeded configurations and stops
     at the first failing draw.  Both are oracle._scan with the battery
     scan as the check.  A row's aggregate is read off the failing
-    configuration's rows, or, when none fails, off c alone: not_applicable
-    is only ever a family's threshold refusal, which depends on c alone.
+    configuration's rows (verify_battery), or, when none fails, off c
+    alone: not_applicable is only ever the threshold refusal of the firing
+    and bound rows, which depends on c alone.
     """
     _gate(g)
     threshold = stabilization_threshold(g)
@@ -691,25 +653,22 @@ def verify_corpus(
     elif mode == "sampled":
         if trials is None or seed is None:
             raise ValueError("sampled mode needs trials and seed")
-        if trials < 0:
-            raise ValueError("trials must be >= 0")
-        total = trials
+        total = trials = _as_count(trials, "trials")
         configs = (random_config(g.n, c, derive_seed(seed, i)).candy for i in range(trials))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     checked, failing, _ = _scan(g, c, configs, partial(_battery_scan, state_cap=state_cap))
     if failing is None:
         # with nothing checked every row is not_applicable; otherwise a row
-        # is not_applicable only by its family's threshold refusal
+        # is not_applicable only by the threshold refusal
+        below = c < threshold
         statuses = [
-            NOT_APPLICABLE if not checked or (family.above_threshold and c < threshold) else PASS
-            for family in _FAMILIES.values()
-            for _ in family.rows
-        ] + [PASS if checked else NOT_APPLICABLE]
+            NOT_APPLICABLE if not checked or (below and name in _ABOVE_THRESHOLD) else PASS
+            for name in CHECK_ORDER
+        ]
         rows = map(CheckResult, CHECK_ORDER, statuses)
     else:
-        cap = _default_state_cap(state_cap)
-        rows = _battery_rows(g, Configuration(failing, c), threshold, cap)[0]
+        rows = verify_battery(g, Configuration(failing, c), state_cap).checks
     agg = []
     for row in rows:
         ce = None
@@ -776,14 +735,14 @@ def sweep_experiment(
     principle run concurrently without changing that order.
     """
     _gate(g)
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    trials = _as_count(trials, "trials")
     threshold = stabilization_threshold(g)
     d = g.diameter
     twice = g.twice_degree
     rows = []
     cap = budget = None
     for ci, c in enumerate(c_values):
+        c = _as_count(c, "c")
         above = c >= threshold
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
@@ -873,8 +832,7 @@ def threshold_probe(g: Graph, c_max: int, cap: int = DEFAULT_ENUM_CAP) -> ProbeR
     not on small cycles.
     """
     _gate(g)
-    if c_max < 0:
-        raise ValueError("c_max must be >= 0")
+    c_max = _as_count(c_max, "c_max")
     verdicts = []
     for c in range(c_max + 1):
         res = exhaustive_verify(g, c, "stabilizes", cap=cap)

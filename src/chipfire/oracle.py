@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from .errors import ResourceExhausted
 from .graph import Graph
-from .parallel import Configuration
+from .parallel import Configuration, _as_count
 from .rng import SplitMix64
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -44,8 +44,7 @@ DEFAULT_ENUM_CAP = 10_000_000
 
 def compositions_count(n: int, c: int) -> int:
     """Number of weak compositions of c into n parts."""
-    if n < 1 or c < 0:
-        raise ValueError("need n >= 1 and c >= 0")
+    n, c = _as_count(n, "n", 1), _as_count(c, "c")
     return comb(c + n - 1, n - 1)
 
 
@@ -56,8 +55,7 @@ def enumerate_configs(n: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[t
     ResourceExhausted when the count exceeds cap, so a caller never
     starts a scan it cannot finish.
     """
-    if cap < 0:
-        raise ValueError(f"enumeration cap must be >= 0, got {cap}")
+    cap = _as_count(cap, "enumeration cap")
     total = compositions_count(n, c)
     if total > cap:
         raise ResourceExhausted(f"{total} compositions exceed the cap of {cap}")

@@ -34,7 +34,8 @@ first repeat and copies a cycle's second period (_complete_record, which
 a battery scan applies to its own walk).  That record is the checks'
 only input: a GameTrace, which run records for output, is never
 checked, and it derives one view from its fired tuples, the pass counts
-at a round (pass_at).  Every cap is checked once, in _default_state_cap.
+at a round (pass_at).  Every count and cap is checked once, in
+_as_count (the state cap through _default_state_cap).
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""
@@ -169,6 +170,20 @@ class EventuallyPeriodic:
 Outcome = Union[Stabilized, EventuallyPeriodic]
 
 
+def _as_count(value, name: str, least: int = 0) -> int:
+    """A count or cap as an int, taken through operator.index as a candy
+    count is (a bool is 0 or 1), and at least least: a float, even an
+    integral one, a string, None or a smaller int is a ValueError naming
+    it."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _coerce(g: Graph, conf) -> tuple[int, ...]:
     candy = conf.candy if isinstance(conf, Configuration) else Configuration.of(conf).candy
     if len(candy) != g.n:
@@ -225,8 +240,7 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     rounds as the state cap (CHIPFIRE_STATE_CAP); a game that needs more
     raises ResourceExhausted before the first round past it is recorded.
     """
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be >= 0")
+    max_rounds = _as_count(max_rounds, "max_rounds")
     prev = _coerce(g, init)
     initial = Configuration.of(prev)
     total = initial.total
@@ -247,24 +261,19 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     return GameTrace(initial, tuple(rounds), stop)
 
 
-def _default_state_cap(state_cap=None, step_cap=None) -> int:
+def _default_state_cap(state_cap=None) -> int:
     """state_cap, else CHIPFIRE_STATE_CAP, else the default, checked before
-    any step: a cap below 1 or a negative step_cap is a ValueError."""
-    if step_cap is not None and step_cap < 0:
-        raise ValueError("step_cap must be >= 0")
-    name = "state_cap"
-    if state_cap is None:
-        raw = os.environ.get(STATE_CAP_ENV)
-        if raw is None:
-            return DEFAULT_STATE_CAP
-        try:
-            state_cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
-        name = STATE_CAP_ENV
-    if state_cap < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return state_cap
+    any step: a cap that is not an int of at least 1 is a ValueError."""
+    if state_cap is not None:
+        return _as_count(state_cap, "state_cap", 1)
+    raw = os.environ.get(STATE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_STATE_CAP
+    try:
+        state_cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
+    return _as_count(state_cap, STATE_CAP_ENV, 1)
 
 
 def _walk(g: Graph, candy, cap, budget, floor=()):
@@ -311,7 +320,9 @@ def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
     cap).  Either way preperiod and period are exact.
     """
     candy = _coerce(g, init)
-    cap = _default_state_cap(state_cap, step_cap)
+    if step_cap is not None:
+        step_cap = _as_count(step_cap, "step_cap")
+    cap = _default_state_cap(state_cap)
     budget = _BRENT_BUDGET_FACTOR * cap if step_cap is None else step_cap
     _, _, preperiod, period, entry = _walk(g, candy, cap, budget)
     if period == 1:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ResourceExhausted, SizeMismatch
+from .errors import ResourceExhausted
 from .graph import Graph
-from .parallel import Configuration, _default_state_cap
+from .parallel import Configuration, _coerce, _default_state_cap
 from .rng import derive_seed, keyed_u64
 
 POLICIES = ("lowest_index", "highest_candy", "random")
@@ -88,9 +88,7 @@ def seq_run(
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
-    start = init.candy if isinstance(init, Configuration) else Configuration.of(init).candy
-    if len(start) != g.n:
-        raise SizeMismatch(f"configuration has {len(start)} entries for n={g.n}")
+    start = _coerce(g, init)
     degree, adjacency, n = g.degree, g.adjacency, g.n
     candy = list(start)
     deterministic = policy != "random"

@@ -31,33 +31,30 @@ def test_check_order_covers_battery(c3):
     assert tuple(r.name for r in report.checks) == CHECK_ORDER
 
 
-def _family(name, g, config):
-    """One family's (rows, found values), folded over the battery's record
-    of config's orbit."""
-    record = parallel._record_orbit(g, cf.Configuration.of(config))
-    return analysis._fold(name, g, sum(config), cf.stabilization_threshold(g), *record)
+def _family(fold, g, config):
+    """One fold's rows over the battery's record of config's orbit."""
+    states, fired, preperiod, period = parallel._record_orbit(g, cf.Configuration.of(config))
+    return fold(g, sum(config), states, fired, preperiod if period == 1 else None)
 
 
-def _hand_fold(name, g, c, states, fired):
-    """One family's (rows, found values), folded over a record built by
-    hand, with ascending fired tuples, that reached no fixed point, under
-    a threshold of 0, so every row is in force."""
-    return analysis._fold(name, g, c, 0, states, fired, None, None)
+def _hand_fold(fold, g, c, states, fired):
+    """One fold's rows over a record built by hand, with ascending fired
+    tuples, that reached no fixed point."""
+    return fold(g, c, states, fired, None)
 
 
 class TestCoreInvariants:
     def test_pass_on_real_trace(self, c3):
-        rows, found = _family("core", c3, [9, 0, 0])
-        assert [(r.name, r.status) for r in rows] == [
-            ("conservation", PASS),
-            ("no_gain", PASS),
-            ("abundant_monotone", PASS),
+        rows = _family(analysis._core_checks, c3, [9, 0, 0])
+        assert [(r.name, r.status, r.counterexample, r.detail) for r in rows] == [
+            ("conservation", PASS, None, ""),
+            ("no_gain", PASS, None, ""),
+            ("abundant_monotone", PASS, None, ""),
         ]
-        assert found == {}
 
     def test_abundant_set_shrinks_along_suite_traces(self, c4):
         # spot check on a below-threshold oscillator too
-        rows, _ = _family("core", c4, [2, 0, 2, 0])
+        rows = _family(analysis._core_checks, c4, [2, 0, 2, 0])
         assert {r.status for r in rows} == {PASS}
 
     def test_failure_reports_are_pinned(self):
@@ -77,18 +74,17 @@ class TestCoreInvariants:
             (2, 5, 1, 1, 1, 1, 1, 1, 4, 1),
         ]
         fired = [(), (1, 8), (3,), (0,)]
-        rows, found = _hand_fold("core", g, 10, states, fired)
+        rows = _hand_fold(analysis._core_checks, g, 10, states, fired)
         assert [(r.name, r.status, r.counterexample) for r in rows] == [
             ("conservation", FAIL, {"round": 2, "observed": 13, "expected": 10}),
             ("no_gain", FAIL, {"round": 2, "vertex": 1, "before": 1, "after": 2}),
             ("abundant_monotone", FAIL, {"round": 3, "vertex": 1, "before": 2, "after": 5}),
         ]
-        assert found == {}
 
 
 class TestPassCountGaps:
     def test_adjacent_and_pairwise(self, c3):
-        rows, _ = _family("pass_gaps", c3, [9, 0, 0])
+        rows = _family(analysis._gap_checks, c3, [9, 0, 0])
         assert [(r.name, r.status) for r in rows] == [
             ("adjacent_pass_gap", PASS),
             ("pairwise_pass_gap", PASS),
@@ -149,7 +145,7 @@ def _brute_force_gaps(g, c, fired):
 
 
 def _gap_counterexamples(g, c, record):
-    rows, _ = _hand_fold("pass_gaps", g, c, *record)
+    rows = _hand_fold(analysis._gap_checks, g, c, *record)
     return tuple(row.counterexample for row in rows)
 
 
@@ -175,7 +171,7 @@ class TestPairwiseShortcut:
     def test_wide_gaps_within_distance_bound_pass(self, p4):
         # every edge gap stays at c = 1 while pair (0, 3) reaches 3 = dist * c
         record = _hand_record([1, 0, 0, 0], [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}])
-        rows, _ = _hand_fold("pass_gaps", p4, 1, *record)
+        rows = _hand_fold(analysis._gap_checks, p4, 1, *record)
         assert {r.status for r in rows} == {PASS}
         assert _gap_counterexamples(p4, 1, record) == (None, None)
         assert _brute_force_gaps(p4, 1, record[1]) == (None, None)
@@ -286,17 +282,25 @@ class TestGapCheckpoints:
 
 class TestAlwaysFiring:
     def test_above_threshold(self, c3):
-        rows, found = _family("always_firing", c3, [9, 0, 0])
-        assert {r.status for r in rows} == {PASS}
-        assert found == {"always_firing_witness": 0}
+        rows = _family(analysis._firing_checks, c3, [9, 0, 0])
+        assert [(r.name, r.status, r.detail) for r in rows] == [
+            ("fired_nonempty", PASS, ""),
+            ("always_firing", PASS, "witness vertex 0"),
+            ("surplus_pigeonhole", PASS, ""),
+        ]
 
-    def test_below_threshold_is_not_applicable(self, c3):
-        rows, found = _family("always_firing", c3, [1, 0, 0])
-        assert [(r.status, r.detail) for r in rows] == [
-            (NOT_APPLICABLE, "c=1 below threshold 9")] * 3
-        assert found == {}
+    def test_below_threshold_is_not_applicable(self, c3, monkeypatch):
+        # below the threshold the battery builds the firing and bound rows
+        # itself, and runs neither fold
+        monkeypatch.setattr(analysis, "_firing_checks", None)
+        monkeypatch.setattr(analysis, "_bound_checks", None)
+        rows = cf.verify_battery(c3, [1, 0, 0]).checks[5:10]
+        assert [(r.name, r.status, r.detail) for r in rows] == [
+            (name, NOT_APPLICABLE, "c=1 below threshold 9")
+            for name in ("fired_nonempty", "always_firing", "surplus_pigeonhole",
+                         "stabilized_within_bound", "idle_gap")]
         # not_applicable still counts as "no failure"
-        assert analysis.VerificationReport(tuple(rows)).ok
+        assert analysis.VerificationReport(rows).ok
 
 
 class TestStabilizationBound:
@@ -308,8 +312,6 @@ class TestStabilizationBound:
         assert md["bound"] == 27 and md["stab_round"] == 2 and md["slack"] == 25
 
     def test_below_threshold_not_applicable(self, c4):
-        rows, found = _family("bound", c4, [2, 0, 2, 0])
-        assert all(r.status == NOT_APPLICABLE for r in rows) and found == {}
         report = cf.verify_battery(c4, [2, 0, 2, 0])
         assert report.get("stabilized_within_bound").status == NOT_APPLICABLE
         assert report.get("idle_gap").status == NOT_APPLICABLE
@@ -749,8 +751,8 @@ def _battery_verdicts(g, c, comps, state_cap, threshold=None):
     cap = analysis._default_state_cap(state_cap)
 
     def rows(comp):
-        initial = cf.Configuration(comp, c)
-        return analysis._first_failure(analysis._battery_rows(g, initial, threshold, cap)[0])
+        record = parallel._record_orbit(g, cf.Configuration(comp, c), cap)
+        return analysis._first_failure(analysis._battery_fold(g, c, threshold, *record))
 
     return [(_scan_verdict(check, comp), _scan_verdict(rows, comp)) for comp in comps]
 
@@ -817,7 +819,7 @@ class TestBatteryScanVerdict:
         # so no other rule sends it to the folds; a real kernel cannot
         # produce most of these, and a threshold of 0 puts every row in force
         preperiod = len(fired) - 1
-        rows, _ = analysis._battery_fold(c3, c, 0, states, fired, preperiod, 1)
+        rows = analysis._battery_fold(c3, c, 0, states, fired, preperiod, 1)
         assert {r.name for r in rows if r.status == FAIL} == failing
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "stabilization_threshold", lambda g: 0)
@@ -841,19 +843,22 @@ class TestBatteryScanVerdict:
 
 @pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])
 def test_stabilization_bound_matches_battery(spec):
-    # the bound fold's rows and values are the battery's rows and metadata
+    # the bound fold's rows are the battery's rows, and the battery's bound
+    # metadata is n * d * c, d * c and the slack over the stab round
     g = cf.generate(*spec)
     threshold = cf.stabilization_threshold(g)
     names = ("stabilized_within_bound", "idle_gap")
     keys = ("bound", "gap_bound", "stab_round", "slack")
     for c in range(threshold, threshold + 3):
         for comp in cf.enumerate_configs(g.n, c):
-            rows, found = _family("bound", g, comp)
+            rows = _family(analysis._bound_checks, g, comp)
             battery = cf.verify_battery(g, comp)
-            assert [(r.name, r.status, r.counterexample) for r in rows] == [
-                (r, battery.get(r).status, battery.get(r).counterexample) for r in names], comp
-            assert set(found) == set(keys), comp
-            assert [found[k] for k in keys] == [battery.metadata[k] for k in keys], comp
+            assert [(r.name, r.status, r.counterexample, r.detail) for r in rows] == [
+                (r, battery.get(r).status, battery.get(r).counterexample, battery.get(r).detail)
+                for r in names], comp
+            bound, stab = g.n * g.diameter * c, battery.metadata["stab_round"]
+            assert [battery.metadata[k] for k in keys] == [
+                bound, g.diameter * c, stab, bound - stab], comp
 
 
 def test_enumeration_cap_before_state_cap(monkeypatch):
@@ -1025,6 +1030,70 @@ def test_outcomes_are_invariant_under_relabelling(g, data):
     assert [(r.name, r.status) for r in cf.verify_battery(h, moved).checks] == statuses
 
 
+@st.composite
+def graph_automorphisms(draw):
+    """(g, pi) with pi an automorphism of g: a rotation or reflection of a
+    cycle, a permutation of a star's leaves, any permutation of a complete
+    graph; n <= 6."""
+    kind = draw(st.sampled_from(["cycle", "star", "complete"]))
+    n = draw(st.integers(min_value=3, max_value=6))
+    g = cf.generate(kind, n)
+    if kind == "cycle":
+        shift, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1]))
+        pi = [(sign * v + shift) % n for v in range(n)]
+    elif kind == "star":
+        center = max(range(n), key=g.degree.__getitem__)
+        leaves = [v for v in range(n) if v != center]
+        pi = list(range(n))
+        for leaf, image in zip(leaves, draw(st.permutations(leaves))):
+            pi[leaf] = image
+    else:
+        pi = draw(st.permutations(range(n)))
+    return g, pi
+
+
+@given(graph_automorphisms(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_outcomes_are_invariant_under_automorphisms(auto, data):
+    # pi maps g onto itself, so the game from the permuted configuration is
+    # the same game: same preperiod and period, the fixed point permuted,
+    # and the same status on every battery row
+    g, pi = auto
+    edges = {frozenset(e) for e in g.edges}
+    assert {frozenset((pi[u], pi[w])) for u, w in g.edges} == edges
+    c = data.draw(st.integers(min_value=0, max_value=4 * g.m - g.n + 2))
+    candy = cf.random_config(g.n, c, data.draw(st.integers(0, 2**64 - 1))).candy
+    moved = [0] * g.n
+    for v, x in enumerate(candy):
+        moved[pi[v]] = x
+    before, after = cf.classify(g, candy), cf.classify(g, moved)
+    if isinstance(before, cf.Stabilized):
+        fixed = [0] * g.n
+        for v, x in enumerate(before.fixed.candy):
+            fixed[pi[v]] = x
+        assert after == cf.Stabilized(before.stab_round, cf.Configuration.of(fixed))
+    else:
+        assert after == before
+    statuses = [(r.name, r.status) for r in cf.verify_battery(g, candy).checks]
+    assert [(r.name, r.status) for r in cf.verify_battery(g, moved).checks] == statuses
+
+
+@pytest.mark.parametrize("fold", ["_core_checks", "_gap_checks", "_firing_checks", "_bound_checks"])
+def test_battery_calls_each_fold_by_its_module_name(fold, c3, monkeypatch):
+    # a wrapper bound on the module, as a tracer binds one, is the fold the
+    # battery runs, once per battery above the threshold
+    original = getattr(analysis, fold)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, fold, counting)
+    assert cf.verify_battery(c3, [9, 0, 0]).ok
+    assert len(calls) == 1
+
+
 def _higher_end_outdegrees(g):
     """The outdegrees of the acyclic orientation that points each edge at
     its higher end: total m."""
@@ -1182,21 +1251,19 @@ def test_firing_failure_reports_are_pinned(c3):
     # no real game above the threshold fails these rows, so a record is built
     # by hand: nobody fires in round 3, and no vertex fires in both rounds 1 and 2
     record = _hand_record([9, 0, 0], [{0}, {1}, set(), {0, 1, 2}])
-    rows, found = _hand_fold("always_firing", c3, 9, *record)
-    assert [(r.name, r.status, r.counterexample) for r in rows] == [
-        ("fired_nonempty", FAIL, {"round": 3}),
-        ("always_firing", FAIL, {"empty_after_round": 2}),
-        ("surplus_pigeonhole", PASS, None),
+    rows = _hand_fold(analysis._firing_checks, c3, 9, *record)
+    assert [(r.name, r.status, r.counterexample, r.detail) for r in rows] == [
+        ("fired_nonempty", FAIL, {"round": 3}, ""),
+        ("always_firing", FAIL, {"empty_after_round": 2}, ""),
+        ("surplus_pigeonhole", PASS, None, ""),
     ]
-    assert found == {"always_firing_witness": None}
     # every vertex of (2, 2, 2) is short and none holds a surplus
-    rows, found = _hand_fold("always_firing", c3, 6, [(2, 2, 2)] * 2, [(0, 1, 2)])
-    assert [(r.name, r.status, r.counterexample) for r in rows] == [
-        ("fired_nonempty", PASS, None),
-        ("always_firing", PASS, None),
-        ("surplus_pigeonhole", FAIL, {"round": 0, "deficient_vertex": 0}),
+    rows = _hand_fold(analysis._firing_checks, c3, 6, [(2, 2, 2)] * 2, [(0, 1, 2)])
+    assert [(r.name, r.status, r.counterexample, r.detail) for r in rows] == [
+        ("fired_nonempty", PASS, None, ""),
+        ("always_firing", PASS, None, "witness vertex 0"),
+        ("surplus_pigeonhole", FAIL, {"round": 0, "deficient_vertex": 0}, ""),
     ]
-    assert found == {"always_firing_witness": 0}
 
 
 def test_idle_gap_fold_past_d_times_c(p3):
@@ -1204,26 +1271,42 @@ def test_idle_gap_fold_past_d_times_c(p3):
     # so the idle runs are measured: vertex 0 idles in rounds 2-4
     states = [(1, 0, 0)]  # read only when the game fails to stabilize in time
     fired = [(0,), (), (), (), (0, 1, 2)]
-    rows, meta = analysis._fold("bound", p3, 1, 0, states, fired, 5, 1)
-    assert [(r.name, r.status, r.counterexample) for r in rows] == [
-        ("stabilized_within_bound", PASS, None),
-        ("idle_gap", FAIL, {"vertex": 0, "observed": 3, "bound": 2}),
+    rows = analysis._bound_checks(p3, 1, states, fired, 5)
+    assert [(r.name, r.status, r.counterexample, r.detail) for r in rows] == [
+        ("stabilized_within_bound", PASS, None, "stab_round 5 <= 6"),
+        ("idle_gap", FAIL, {"vertex": 0, "observed": 3, "bound": 2}, ""),
     ]
-    assert meta == {"bound": 6, "gap_bound": 2, "stab_round": 5, "slack": 1}
-    rows, _ = analysis._fold("bound", p3, 1, 0, states, [(0, 1, 2)] * 5, 5, 1)
+    rows = analysis._bound_checks(p3, 1, states, [(0, 1, 2)] * 5, 5)
     assert rows[1].status == PASS
 
 
-@pytest.mark.parametrize("preperiod, period, slack", [(7, 1, -1), (3, 2, None)])
-def test_bound_failure_reports_are_pinned(p3, preperiod, period, slack):
+@pytest.mark.parametrize("preperiod, period", [(7, 1), (3, 2)])
+def test_bound_failure_reports_are_pinned(p3, preperiod, period):
     # a stab round past n * d * c = 6, or a periodic orbit, fails both rows
     # with the same counterexample
     states = [(1, 0, 0)]
-    rows, meta = analysis._fold("bound", p3, 1, 0, states, [(0, 1, 2)] * 7, preperiod, period)
     stab = preperiod if period == 1 else None
+    rows = analysis._bound_checks(p3, 1, states, [(0, 1, 2)] * 7, stab)
     fail = {"config": [1, 0, 0], "stab_round": stab, "bound": 6}
     assert [(r.name, r.status, r.counterexample) for r in rows] == [
         ("stabilized_within_bound", FAIL, fail),
         ("idle_gap", FAIL, fail),
     ]
-    assert meta == {"bound": 6, "gap_bound": 2, "stab_round": stab, "slack": slack}
+    # the battery folds the bound rows of the same record in the same way
+    battery = analysis._battery_fold(p3, 1, 0, states * 8, [(0, 1, 2)] * 7, preperiod, period)
+    assert battery[8:10] == rows
+
+
+def test_bound_metadata_is_pinned(p3, c4, monkeypatch):
+    keys = ("bound", "gap_bound", "stab_round", "slack", "always_firing_witness")
+    # path:3 at its threshold 5: n * d * c = 30, d * c = 10, stab round 5
+    md = cf.verify_battery(p3, [5, 0, 0]).metadata
+    assert [md[k] for k in keys] == [30, 10, 5, 25, 0]
+    # below the threshold the stab round is still given, and nothing else
+    md = cf.verify_battery(p3, [4, 0, 0]).metadata
+    assert [md[k] for k in keys] == [None, None, 5, None, None]
+    # a periodic orbit, with the threshold lowered to 0, has a bound but no
+    # stab round, slack or witness
+    monkeypatch.setattr(analysis, "stabilization_threshold", lambda g: 0)
+    md = cf.verify_battery(c4, [2, 0, 2, 0]).metadata
+    assert [md[k] for k in keys] == [32, 8, None, None, None]

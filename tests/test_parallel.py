@@ -273,16 +273,57 @@ CAPPED_CALLS = {
 def test_state_cap_below_one_is_a_value_error(entry, cap, c4, monkeypatch):
     # rejected before any step, even where the first step would decide the orbit
     monkeypatch.setattr(parallel, "_step_raw", None)
-    with pytest.raises(ValueError, match=r"^state_cap must be >= 1$"):
+    with pytest.raises(ValueError, match=rf"^state_cap must be >= 1, got {cap}$"):
         CAPPED_CALLS[entry](c4, cap)
 
 
 def test_negative_step_cap_is_a_value_error(c4):
-    with pytest.raises(ValueError, match=r"^step_cap must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^step_cap must be >= 0, got -1$"):
         cf.classify(c4, [1, 1, 1, 1], step_cap=-1)
     # a step cap of 0 is a budget, spent at the first step past the state cap
     with pytest.raises(ResourceExhausted):
         cf.classify(c4, [2, 0, 2, 0], state_cap=1, step_cap=0)
+
+
+# every other count or cap an entry point takes, where None is no default
+COUNTED_CALLS = {
+    "run max_rounds": lambda g, x: cf.run(g, [2, 2, 2, 2], x),
+    "random_config n": lambda g, x: cf.random_config(x, 4, 1),
+    "random_config c": lambda g, x: cf.random_config(4, x, 1),
+    "compositions_count n": lambda g, x: cf.compositions_count(x, 4),
+    "compositions_count c": lambda g, x: cf.compositions_count(4, x),
+    "enumerate_configs cap": lambda g, x: next(cf.enumerate_configs(4, 2, cap=x)),
+    "exhaustive_verify cap": lambda g, x: cf.exhaustive_verify(g, 2, "stabilizes", cap=x),
+    "verify_corpus c": lambda g, x: cf.verify_corpus(g, x),
+    "verify_corpus trials": lambda g, x: cf.verify_corpus(g, 4, "sampled", trials=x, seed=0),
+    "sweep_experiment c": lambda g, x: cf.sweep_experiment(g, [x], 1, 1),
+    "sweep_experiment trials": lambda g, x: cf.sweep_experiment(g, [4], x, 1),
+    "threshold_probe c_max": lambda g, x: cf.threshold_probe(g, x),
+    "threshold_probe cap": lambda g, x: cf.threshold_probe(g, 2, cap=x),
+}
+NOT_INTEGERS = [2.5, "3", None, float("nan")]
+
+
+@pytest.mark.parametrize("entry, value", [
+    *((entry, value) for entry in COUNTED_CALLS for value in NOT_INTEGERS),
+    # None is the default state cap and step cap, so it is left out there
+    *((entry, value) for entry in [*CAPPED_CALLS, "classify step_cap"]
+      for value in NOT_INTEGERS if value is not None),
+])
+def test_a_count_that_is_not_an_integer_is_a_value_error(entry, value, c4, monkeypatch):
+    # refused before any step, never a TypeError from range or a comparison
+    calls = {**COUNTED_CALLS, **CAPPED_CALLS,
+             "classify step_cap": lambda g, x: cf.classify(g, [1, 1, 1, 1], step_cap=x)}
+    monkeypatch.setattr(parallel, "_step_raw", None)
+    with pytest.raises(ValueError, match=r"must be an integer, got |sampled mode needs"):
+        calls[entry](c4, value)
+
+
+def test_a_bool_count_is_taken_as_an_int(c4):
+    assert len(cf.run(c4, [2, 2, 2, 2], True).rounds) == 1
+    assert cf.compositions_count(True, 5) == 1
+    assert [row["trial"] for row in cf.sweep_experiment(c4, [4], True, 1)] == [0]
+    assert cf.verify_corpus(c4, 4, "sampled", trials=True, seed=0)["configs_checked"] == 1
 
 
 @pytest.mark.parametrize("walk", [cf.classify, cf.verify_battery], ids=lambda f: f.__name__)
