@@ -1280,8 +1280,8 @@ def test_idle_gap_fold_past_d_times_c(p3):
     assert rows[1].status == PASS
 
 
-@pytest.mark.parametrize("preperiod, period", [(7, 1), (3, 2)])
-def test_bound_failure_reports_are_pinned(p3, preperiod, period):
+@pytest.mark.parametrize("preperiod, period, slack", [(7, 1, -1), (3, 2, None)])
+def test_bound_failure_reports_are_pinned(p3, preperiod, period, slack):
     # a stab round past n * d * c = 6, or a periodic orbit, fails both rows
     # with the same counterexample
     states = [(1, 0, 0)]
@@ -1295,6 +1295,8 @@ def test_bound_failure_reports_are_pinned(p3, preperiod, period):
     # the battery folds the bound rows of the same record in the same way
     battery = analysis._battery_fold(p3, 1, 0, states * 8, [(0, 1, 2)] * 7, preperiod, period)
     assert battery[8:10] == rows
+    # and the metadata's bound and slack, read off the same stab round
+    assert analysis._bound_and_slack(p3, 1, stab) == (6, slack)
 
 
 def test_bound_metadata_is_pinned(p3, c4, monkeypatch):
