@@ -67,7 +67,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 from operator import attrgetter, ge, le, sub
 from typing import Iterable, Optional, Sequence
@@ -430,21 +429,22 @@ def _battery_fold(g: Graph, c: int, threshold: int, states, fired, preperiod, pe
     return rows
 
 
-def verify_battery(g: Graph, config, state_cap: Optional[int] = None) -> VerificationReport:
+def verify_battery(g: Graph, config) -> VerificationReport:
     """Classify one configuration exactly and run every check on its orbit.
 
     The orbit is walked once.  Its record is the whole game for
     stabilizing configurations and preperiod + two full periods for
     oscillating ones, which exercises every reachable state of the orbit.
-    state_cap bounds the walk's visited map as it bounds classify's.  The
-    rows are the folds' own; the metadata is read off the same record, the
-    bound, slack and witness (at c >= 4m - n only) as sweep_experiment's.
+    The state cap bounds the walk's visited map as it bounds classify's.
+    The rows are the folds' own; the metadata is read off the same
+    record, the bound, slack and witness (at c >= 4m - n only) as
+    sweep_experiment's.
     """
     _gate(g)
     initial = config if isinstance(config, Configuration) else Configuration.of(config)
     c = initial.total
     threshold = stabilization_threshold(g)
-    states, fired, preperiod, period = _record_orbit(g, initial, state_cap)
+    states, fired, preperiod, period = _record_orbit(g, initial)
     rows = _battery_fold(g, c, threshold, states, fired, preperiod, period)
     stabilized = period == 1
     bound = gap_bound = slack = witness = None
@@ -516,7 +516,7 @@ def _stabilizes_scan(g: Graph, c: int):
         walk = _walk(g, comp, cap, budget, comp if scanning else ())
         if walk is None or walk[3] == 1:
             return None
-        outcome = classify(g, Configuration(comp, c), cap, budget)
+        outcome = classify(g, Configuration(comp, c))
         return {
             "kind": "periodic",
             "preperiod": outcome.preperiod,
@@ -527,10 +527,9 @@ def _stabilizes_scan(g: Graph, c: int):
     return check
 
 
-def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
+def _battery_scan(g: Graph, c: int):
     """The set-up of a battery scan, whose check gives the first failing
-    row of the whole battery on each orbit.  state_cap, when given,
-    overrides CHIPFIRE_STATE_CAP as in verify_corpus.
+    row of the whole battery on each orbit.
 
     The check walks each composition once (_walk, with the scan's cap and
     budget) and reads its verdict off that walk in one loop over its
@@ -549,7 +548,7 @@ def _battery_scan(g: Graph, c: int, state_cap: Optional[int] = None):
     """
     _gate(g)
     threshold = stabilization_threshold(g)
-    cap = _default_state_cap(state_cap)
+    cap = _default_state_cap()
     budget = _BRENT_BUDGET_FACTOR * cap
     above = c >= threshold
     twice, short = g.twice_degree, g.short_bar
@@ -631,7 +630,6 @@ def verify_corpus(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    state_cap: Optional[int] = None,
 ) -> dict:
     """Run the full battery over a configuration corpus; JSON-ready result.
 
@@ -642,9 +640,11 @@ def verify_corpus(
     scan as the check.  A row's aggregate is read off the failing
     configuration's rows (verify_battery), or, when none fails, off c
     alone: not_applicable is only ever the threshold refusal of the firing
-    and bound rows, which depends on c alone.
+    and bound rows, which depends on c alone.  In either mode a c that is
+    not an int of at least 0 is a ValueError before any draw.
     """
     _gate(g)
+    c = _as_count(c, "c")
     threshold = stabilization_threshold(g)
     d = g.diameter
     if mode == "exhaustive":
@@ -657,7 +657,7 @@ def verify_corpus(
         configs = (random_config(g.n, c, derive_seed(seed, i)).candy for i in range(trials))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    checked, failing, _ = _scan(g, c, configs, partial(_battery_scan, state_cap=state_cap))
+    checked, failing, _ = _scan(g, c, configs, _battery_scan)
     if failing is None:
         # with nothing checked every row is not_applicable; otherwise a row
         # is not_applicable only by the threshold refusal
@@ -668,7 +668,7 @@ def verify_corpus(
         ]
         rows = map(CheckResult, CHECK_ORDER, statuses)
     else:
-        rows = verify_battery(g, Configuration(failing, c), state_cap).checks
+        rows = verify_battery(g, Configuration(failing, c)).checks
     agg = []
     for row in rows:
         ce = None
@@ -714,21 +714,18 @@ def sweep_experiment(
     c_values: Sequence[int],
     trials: int,
     seed: int,
-    state_cap: Optional[int] = None,
 ) -> list[dict]:
     """One row per (c, trial) with a seeded random configuration, read
     off one record of its orbit: the record verify_battery folds over
-    (parallel._complete_record of one _walk), with no fold run and no
-    report built.
+    (parallel._record_orbit), with no fold run and no report built.
 
     The row holds the outcome, the stab round or the period and the round
     bound n * d * c.  Its slack (_bound_and_slack) is -1 for a periodic
     orbit or below 4m - n, and its v_star (_always_firing_witness) is -1
     below 4m - n or when no vertex fired in every round, as in
     verify_battery's metadata.  The abundant counts come from the
-    record's first and last states.  The state cap is resolved once,
-    after the first draw, as in the scans; a negative trials is a
-    ValueError before any draw.
+    record's first and last states.  The state cap is read by each walk,
+    after its draw; a negative trials is a ValueError before any draw.
 
     Output order is fixed by the (c index, trial) key, so identical
     arguments reproduce identical rows byte for byte; trials may in
@@ -740,17 +737,12 @@ def sweep_experiment(
     d = g.diameter
     twice = g.twice_degree
     rows = []
-    cap = budget = None
     for ci, c in enumerate(c_values):
         c = _as_count(c, "c")
         above = c >= threshold
         for trial in range(trials):
             cfg = random_config(g.n, c, derive_seed(seed, ci, trial))
-            if cap is None:
-                cap = _default_state_cap(state_cap)
-                budget = _BRENT_BUDGET_FACTOR * cap
-            walk = _walk(g, cfg.candy, cap, budget)
-            states, fired, preperiod, period = _complete_record(g, walk)
+            states, fired, preperiod, period = _record_orbit(g, cfg)
             stabilized = period == 1
             bound, slack = _bound_and_slack(g, c, preperiod if stabilized else None)
             witness = _always_firing_witness(g.n, fired) if above else None
@@ -905,22 +897,24 @@ def random_instance_suite(
     count: int,
     seed: int,
     n_max: int = 12,
-    state_cap: Optional[int] = None,
 ) -> SuiteResult:
     """Battery over `count` random (graph, configuration) instances.
 
     Each instance draws a generator kind, a size, seeds for the graph and
     the configuration, and sets c to the threshold 4m - n exactly, so the
     above-threshold guarantees must all hold.  A pure function of
-    (count, seed, n_max): rerunning reproduces identical rows.
+    (count, seed, n_max): rerunning reproduces identical rows.  A count
+    below 0 or an n_max below 3 is a ValueError before any draw.
     """
     from .graph import generate  # local import keeps module deps one-way
+
+    count = _as_count(count, "count")
+    n_max = _as_count(n_max, "n_max", 3)
 
     kinds = ("cycle", "path", "complete", "star", "random_tree", "random_connected")
     p_choices = (0.3, 0.4, 0.5, 0.6, 0.7)
     rows = []
     violations = []
-    cap = None
     for i in range(count):
         rng = SplitMix64(derive_seed(seed, i))
         kind = kinds[rng.below(len(kinds))]
@@ -933,9 +927,7 @@ def random_instance_suite(
         _gate(g)
         c = stabilization_threshold(g)
         cfg = random_config(g.n, c, rng.next_u64())
-        if cap is None:
-            cap = _default_state_cap(state_cap)
-        report = verify_battery(g, cfg, cap)
+        report = verify_battery(g, cfg)
         md = report.metadata
         row = {
             "instance": i,

@@ -35,7 +35,8 @@ a battery scan applies to its own walk).  That record is the checks'
 only input: a GameTrace, which run records for output, is never
 checked, and it derives one view from its fired tuples, the pass counts
 at a round (pass_at).  Every count and cap is checked once, in
-_as_count (the state cap through _default_state_cap).
+_as_count.  The state cap has one way in, CHIPFIRE_STATE_CAP, read by
+_default_state_cap, and every walk's step budget past it is 64x the cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
 once, into a string table its rows are joined from."""
@@ -261,19 +262,17 @@ def run(g: Graph, init, max_rounds: int) -> GameTrace:
     return GameTrace(initial, tuple(rounds), stop)
 
 
-def _default_state_cap(state_cap=None) -> int:
-    """state_cap, else CHIPFIRE_STATE_CAP, else the default, checked before
-    any step: a cap that is not an int of at least 1 is a ValueError."""
-    if state_cap is not None:
-        return _as_count(state_cap, "state_cap", 1)
+def _default_state_cap() -> int:
+    """CHIPFIRE_STATE_CAP, else the default, checked before any step: a cap
+    that is not an int of at least 1 is a ValueError."""
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return DEFAULT_STATE_CAP
     try:
-        state_cap = int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{STATE_CAP_ENV} must be an integer, got {raw!r}") from None
-    return _as_count(state_cap, STATE_CAP_ENV, 1)
+    return _as_count(cap, STATE_CAP_ENV, 1)
 
 
 def _walk(g: Graph, candy, cap, budget, floor=()):
@@ -311,30 +310,26 @@ def _walk(g: Graph, candy, cap, budget, floor=()):
     return [*seen, x], fired, preperiod, period, entry
 
 
-def classify(g: Graph, init, state_cap=None, step_cap=None) -> Outcome:
+def classify(g: Graph, init) -> Outcome:
     """Exact long-run behavior of the orbit: stabilizes or oscillates.
 
-    One _walk: a visited map while the orbit fits under state_cap (at
-    least 1; CHIPFIRE_STATE_CAP overrides the default), then constant-memory
-    pointer chasing bounded by step_cap (at least 0, default 64x the state
-    cap).  Either way preperiod and period are exact.
+    One _walk: a visited map while the orbit fits under the state cap
+    (CHIPFIRE_STATE_CAP), then constant-memory pointer chasing bounded by
+    64x the cap.  Either way preperiod and period are exact.
     """
     candy = _coerce(g, init)
-    if step_cap is not None:
-        step_cap = _as_count(step_cap, "step_cap")
-    cap = _default_state_cap(state_cap)
-    budget = _BRENT_BUDGET_FACTOR * cap if step_cap is None else step_cap
-    _, _, preperiod, period, entry = _walk(g, candy, cap, budget)
+    cap = _default_state_cap()
+    _, _, preperiod, period, entry = _walk(g, candy, cap, _BRENT_BUDGET_FACTOR * cap)
     if period == 1:
         # a step keeps the total and non-negative ints: no re-validation
         return Stabilized(stab_round=preperiod, fixed=Configuration(entry, sum(candy)))
     return EventuallyPeriodic(preperiod=preperiod, period=period)
 
 
-def _record_orbit(g: Graph, init, state_cap=None):
+def _record_orbit(g: Graph, init):
     """classify's _walk, completed into the record the checks fold over."""
     candy = _coerce(g, init)
-    cap = _default_state_cap(state_cap)
+    cap = _default_state_cap()
     return _complete_record(g, _walk(g, candy, cap, _BRENT_BUDGET_FACTOR * cap))
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -51,6 +52,14 @@ def _lanes() -> tuple[int, int, int]:
     return one, one * _MASK, int.from_bytes(ramp, "little")
 
 
+def _seed(seed) -> int:
+    """seed through operator.index; anything else is a ValueError naming it."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+
+
 def mix64(z: int) -> int:
     """splitmix64 finalizer: avalanche a 64-bit value."""
     z &= _MASK
@@ -66,7 +75,7 @@ def keyed_u64(seed: int, index: int) -> int:
     per position, e.g. the sequential engine's random policy keyed by
     (seed, move index).
     """
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
+    return mix64((_seed(seed) + (index + 1) * _GOLDEN) & _MASK)
 
 
 class SplitMix64:
@@ -75,7 +84,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = _seed(seed) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
@@ -142,7 +151,7 @@ def derive_seed(seed: int, *keys: int) -> int:
     overlapping: derive_seed(s, i) != derive_seed(s, j) for i != j in
     practice (full-avalanche mixing of every key).
     """
-    s = mix64(seed)
+    s = mix64(_seed(seed))
     for k in keys:
         s = mix64(s ^ mix64(k & _MASK) ^ _GOLDEN)
     return s

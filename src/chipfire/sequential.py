@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .errors import ResourceExhausted
 from .graph import Graph
-from .parallel import Configuration, _coerce, _default_state_cap
+from .parallel import Configuration, _as_count, _coerce, _default_state_cap
 from .rng import derive_seed, keyed_u64
 
 POLICIES = ("lowest_index", "highest_candy", "random")
@@ -73,16 +73,16 @@ def seq_run(
     policy: str = "lowest_index",
     seed: Optional[int] = None,
     move_budget: Optional[int] = None,
-    state_cap: Optional[int] = None,
     _log: Optional[list] = None,
 ) -> SeqOutcome:
     """Play one sequential game to termination, revisit, or budget.
 
     Deterministic policies ignore move_budget and use revisit detection
-    (bounded by state_cap states, CHIPFIRE_STATE_CAP overriding the
-    default); the random policy requires a seed, draws one keyed value
-    per move index, and returns Unknown(moves) once move_budget (default
-    10000) is spent.
+    (bounded by CHIPFIRE_STATE_CAP states); the random policy requires a
+    seed, draws one keyed value per move index, and returns
+    Unknown(moves) once move_budget (default 10000) is spent.  A
+    move_budget that is not an int of at least 0 is a ValueError under
+    every policy.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -92,8 +92,9 @@ def seq_run(
     degree, adjacency, n = g.degree, g.adjacency, g.n
     candy = list(start)
     deterministic = policy != "random"
-    cap = _default_state_cap(state_cap)
+    cap = _default_state_cap()
     budget = DEFAULT_RANDOM_BUDGET if move_budget is None else move_budget
+    budget = _as_count(budget, "move_budget")
     seen = {tuple(candy)} if deterministic else None
     if _log is not None:
         _log.append((0, -1, tuple(candy)))
@@ -170,8 +171,10 @@ def check_abelian(g: Graph, init, n_orders: int = 10, seed: int = 0) -> AbelianR
     L moves: seq_run tests for termination before the budget, so a
     correct order still ends Terminated, and an order that would make a
     move past L is reported distinctly (budget_exceeded): it contradicts
-    the property rather than merely diverging.
+    the property rather than merely diverging.  An n_orders that is not
+    an int of at least 0 is a ValueError before any play.
     """
+    n_orders = _as_count(n_orders, "n_orders")
     reference = seq_run(g, init, policy="lowest_index")
     if not isinstance(reference, Terminated):
         return AbelianReport(

@@ -5,7 +5,10 @@ the package (dict-of-sets adjacency, list rebuilding, no caching) so the
 two implementations can only agree by both being correct.
 """
 
+import os
+from contextlib import contextmanager
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -69,6 +72,20 @@ def count_steps(monkeypatch):
 
     monkeypatch.setattr(parallel, "_step_raw", counted)
     return calls
+
+
+@contextmanager
+def state_cap_env(cap):
+    """CHIPFIRE_STATE_CAP set to str(cap) for the block, or unset when cap
+    is None; os.environ is put back as it was after it.  It saves and
+    restores os.environ itself because hypothesis refuses a
+    function-scoped monkeypatch."""
+    with mock.patch.dict(os.environ):
+        if cap is None:
+            os.environ.pop(parallel.STATE_CAP_ENV, None)
+        else:
+            os.environ[parallel.STATE_CAP_ENV] = str(cap)
+        yield
 
 
 def reference_unrank(n, c, rank):

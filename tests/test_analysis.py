@@ -23,7 +23,7 @@ from chipfire.errors import (
     ResourceExhausted,
     SizeMismatch,
 )
-from conftest import count_steps, naive_orbit, naive_round, neighbor_map
+from conftest import count_steps, naive_orbit, naive_round, neighbor_map, state_cap_env
 
 
 def test_check_order_covers_battery(c3):
@@ -396,7 +396,8 @@ def test_battery_walk_matches_reference_at_any_cap(spec):
             assert md["rounds_recorded"] == (mu + 1 if stabilized else mu + 2 * lam), comp
             # shrinking the cap moves the walk onto the cycle finder, never the answer
             try:
-                small = cf.verify_battery(g, comp, state_cap=2)
+                with state_cap_env(2):
+                    small = cf.verify_battery(g, comp)
             except ResourceExhausted:
                 continue
             assert small.to_json() == report.to_json(), comp
@@ -554,20 +555,17 @@ class TestThresholdProbe:
         }
 
 
-def _sweep_rows_from_batteries(g, c_values, trials, seed, state_cap=None):
+def _sweep_rows_from_batteries(g, c_values, trials, seed):
     """sweep_experiment's rows as they were once built: from the metadata of
     one verify_battery report per sampled configuration."""
     analysis._gate(g)
     threshold = cf.stabilization_threshold(g)
     d = g.diameter
     rows = []
-    cap = None
     for ci, c in enumerate(c_values):
         for trial in range(trials):
             cfg = cf.random_config(g.n, c, cf.derive_seed(seed, ci, trial))
-            if cap is None:
-                cap = analysis._default_state_cap(state_cap)
-            md = cf.verify_battery(g, cfg, cap).metadata
+            md = cf.verify_battery(g, cfg).metadata
             stabilized = md["outcome"] == "stabilized"
             rows.append({
                 "n": g.n,
@@ -640,8 +638,10 @@ class TestSweep:
         # come into force
         top = 4 * g.m - g.n
         c_values = [0, g.m - 1, top // 2, 3 * g.m - g.n, top, top + 1]
-        args = (g, c_values, trials, seed, state_cap)
-        assert _outcome(cf.sweep_experiment, *args) == _outcome(_sweep_rows_from_batteries, *args)
+        args = (g, c_values, trials, seed)
+        with state_cap_env(state_cap):
+            assert _outcome(cf.sweep_experiment, *args) == _outcome(
+                _sweep_rows_from_batteries, *args)
 
     def test_above_threshold_rows_stabilize(self, c3):
         rows = cf.sweep_experiment(c3, [9, 10], trials=5, seed=2)
@@ -740,21 +740,22 @@ def _scan_verdict(check, comp):
 
 def _battery_verdicts(g, c, comps, state_cap, threshold=None):
     """(battery scan check, first failing battery row) verdicts of each
-    composition, both under the same threshold: the graph's, or a lower
+    composition under CHIPFIRE_STATE_CAP=state_cap (None: unset), both
+    under the same threshold: the graph's, or a lower
     one that puts the always-firing and bound rows in force at small c,
     where they can fail."""
     if threshold is None:
         threshold = cf.stabilization_threshold(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "stabilization_threshold", lambda g: threshold)
-        check = analysis._battery_scan(g, c, state_cap)
-    cap = analysis._default_state_cap(state_cap)
 
     def rows(comp):
-        record = parallel._record_orbit(g, cf.Configuration(comp, c), cap)
+        record = parallel._record_orbit(g, cf.Configuration(comp, c))
         return analysis._first_failure(analysis._battery_fold(g, c, threshold, *record))
 
-    return [(_scan_verdict(check, comp), _scan_verdict(rows, comp)) for comp in comps]
+    with state_cap_env(state_cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "stabilization_threshold", lambda g: threshold)
+            check = analysis._battery_scan(g, c)
+        return [(_scan_verdict(check, comp), _scan_verdict(rows, comp)) for comp in comps]
 
 
 class TestBatteryScanVerdict:
@@ -837,8 +838,8 @@ class TestBatteryScanVerdict:
         [(got, expected)] = _battery_verdicts(g, c, [comp], 1)
         assert got == expected
         assert got[0] is ResourceExhausted
-        with pytest.raises(ResourceExhausted, match=got[1]):
-            cf.verify_battery(g, comp, state_cap=1)
+        with state_cap_env(1), pytest.raises(ResourceExhausted, match=got[1]):
+            cf.verify_battery(g, comp)
 
 
 @pytest.mark.parametrize("spec", [("cycle", 4), ("path", 4), ("star", 4)])

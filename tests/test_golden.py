@@ -10,7 +10,7 @@ import json
 
 import chipfire as cf
 from chipfire.cli import main
-from conftest import reference_coins
+from conftest import reference_coins, state_cap_env
 
 
 def _sha256(text: str) -> str:
@@ -30,12 +30,13 @@ CYCLE4_FAILING = "cef92795a93c90e7785490287724b3fa5749effcf0b605ac053561fd30cdb5
 
 
 def test_verify_corpus_brent_path_json():
-    # a state cap of 1 sends every orbit through the constant-memory finder;
-    # cycle:5 stabilizes, and below the threshold cycle:4's periodic
-    # records are completed past the cap
+    # CHIPFIRE_STATE_CAP=1 sends every orbit through the constant-memory
+    # finder; cycle:5 stabilizes, and below the threshold cycle:4's
+    # periodic records are completed past the cap
     for n, c, digest in ((5, 15, CYCLE5_CORPUS), (4, 4, CYCLE4_FAILING)):
         g = cf.generate("cycle", n)
-        text = json.dumps(cf.verify_corpus(g, c, state_cap=1), indent=2)
+        with state_cap_env(1):
+            text = json.dumps(cf.verify_corpus(g, c), indent=2)
         assert _sha256(text) == digest
 
 

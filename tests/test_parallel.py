@@ -13,7 +13,7 @@ from chipfire.errors import ResourceExhausted, SizeMismatch
 from chipfire.parallel import DEFAULT_STATE_CAP, _default_state_cap, _record_orbit
 from chipfire.sequential import seq_run
 
-from conftest import count_steps, naive_orbit, naive_round, neighbor_map
+from conftest import count_steps, naive_orbit, naive_round, neighbor_map, state_cap_env
 
 
 def test_configuration_rejects_negative():
@@ -237,13 +237,17 @@ class TestClassify:
 
     def test_brent_fallback_agrees(self, c3, c4):
         # a cap of 1 or 2 forces the constant-memory path immediately
-        assert cf.classify(c3, [9, 0, 0], state_cap=2) == cf.classify(c3, [9, 0, 0])
-        assert cf.classify(c4, [2, 0, 2, 0], state_cap=1) == cf.classify(c4, [2, 0, 2, 0])
+        for g, candy, cap in ((c3, [9, 0, 0], 2), (c4, [2, 0, 2, 0], 1)):
+            with state_cap_env(cap):
+                forced = cf.classify(g, candy)
+            assert forced == cf.classify(g, candy)
 
     def test_step_cap_exhaustion(self):
-        g = cf.generate("cycle", 5)
-        with pytest.raises(ResourceExhausted):
-            cf.classify(g, [50, 0, 0, 0, 0], state_cap=1, step_cap=3)
+        # the step budget is 64x the state cap: path:5's all-on-one-end
+        # composition at 4m - n outruns the 64 steps a cap of 1 allows
+        g = cf.generate("path", 5)
+        with state_cap_env(1), pytest.raises(ResourceExhausted, match="exceeded 64 steps"):
+            cf.classify(g, [0, 0, 0, 0, cf.stabilization_threshold(g)])
 
     def test_env_cap_override(self, monkeypatch, c3):
         monkeypatch.setenv("CHIPFIRE_STATE_CAP", "2")
@@ -257,14 +261,18 @@ class TestClassify:
             _default_state_cap()
 
 
-# every entry point that walks an orbit, called with an explicit state cap
+# every entry point that walks an orbit; each reads its state cap from
+# CHIPFIRE_STATE_CAP, the one way to set it
 CAPPED_CALLS = {
-    "classify": lambda g, cap: cf.classify(g, [1, 1, 1, 1], state_cap=cap),
-    "verify_battery": lambda g, cap: cf.verify_battery(g, [2, 0, 2, 0], state_cap=cap),
-    "verify_corpus": lambda g, cap: cf.verify_corpus(g, 4, state_cap=cap),
-    "sweep_experiment": lambda g, cap: cf.sweep_experiment(g, [4], 1, 1, state_cap=cap),
-    "random_instance_suite": lambda g, cap: cf.random_instance_suite(1, 1, state_cap=cap),
-    "seq_run": lambda g, cap: seq_run(g, [2, 2, 2, 2], state_cap=cap),
+    "classify": lambda g: cf.classify(g, [1, 1, 1, 1]),
+    "run": lambda g: cf.run(g, [2, 0, 2, 0], 5),
+    "verify_battery": lambda g: cf.verify_battery(g, [2, 0, 2, 0]),
+    "verify_corpus": lambda g: cf.verify_corpus(g, 4),
+    "exhaustive_verify": lambda g: cf.exhaustive_verify(g, 4, "stabilizes"),
+    "threshold_probe": lambda g: cf.threshold_probe(g, 4),
+    "sweep_experiment": lambda g: cf.sweep_experiment(g, [4], 1, 1),
+    "random_instance_suite": lambda g: cf.random_instance_suite(1, 1),
+    "seq_run": lambda g: seq_run(g, [2, 2, 2, 2]),
 }
 
 
@@ -273,19 +281,12 @@ CAPPED_CALLS = {
 def test_state_cap_below_one_is_a_value_error(entry, cap, c4, monkeypatch):
     # rejected before any step, even where the first step would decide the orbit
     monkeypatch.setattr(parallel, "_step_raw", None)
-    with pytest.raises(ValueError, match=rf"^state_cap must be >= 1, got {cap}$"):
-        CAPPED_CALLS[entry](c4, cap)
+    monkeypatch.setenv("CHIPFIRE_STATE_CAP", str(cap))
+    with pytest.raises(ValueError, match=rf"^CHIPFIRE_STATE_CAP must be >= 1, got {cap}$"):
+        CAPPED_CALLS[entry](c4)
 
 
-def test_negative_step_cap_is_a_value_error(c4):
-    with pytest.raises(ValueError, match=r"^step_cap must be >= 0, got -1$"):
-        cf.classify(c4, [1, 1, 1, 1], step_cap=-1)
-    # a step cap of 0 is a budget, spent at the first step past the state cap
-    with pytest.raises(ResourceExhausted):
-        cf.classify(c4, [2, 0, 2, 0], state_cap=1, step_cap=0)
-
-
-# every other count or cap an entry point takes, where None is no default
+# every other count or cap an entry point takes
 COUNTED_CALLS = {
     "run max_rounds": lambda g, x: cf.run(g, [2, 2, 2, 2], x),
     "random_config n": lambda g, x: cf.random_config(x, 4, 1),
@@ -300,23 +301,50 @@ COUNTED_CALLS = {
     "sweep_experiment trials": lambda g, x: cf.sweep_experiment(g, [4], x, 1),
     "threshold_probe c_max": lambda g, x: cf.threshold_probe(g, x),
     "threshold_probe cap": lambda g, x: cf.threshold_probe(g, 2, cap=x),
+    "verify_corpus sampled c": lambda g, x: cf.verify_corpus(g, x, "sampled", trials=0, seed=0),
+    "random_instance_suite count": lambda g, x: cf.random_instance_suite(x, 1),
+    "random_instance_suite n_max": lambda g, x: cf.random_instance_suite(1, 1, n_max=x),
+    "seq_run move_budget": lambda g, x: seq_run(g, [2, 2, 2, 2], move_budget=x),
+    "check_abelian n_orders": lambda g, x: cf.check_abelian(g, [1, 0, 0, 0], n_orders=x),
 }
 NOT_INTEGERS = [2.5, "3", None, float("nan")]
 
 
 @pytest.mark.parametrize("entry, value", [
-    *((entry, value) for entry in COUNTED_CALLS for value in NOT_INTEGERS),
-    # None is the default state cap and step cap, so it is left out there
-    *((entry, value) for entry in [*CAPPED_CALLS, "classify step_cap"]
-      for value in NOT_INTEGERS if value is not None),
+    # None is move_budget's default, so it is left out there
+    *((entry, value) for entry in COUNTED_CALLS for value in NOT_INTEGERS
+      if value is not None or entry != "seq_run move_budget"),
+    *((entry, value) for entry in CAPPED_CALLS for value in NOT_INTEGERS),
 ])
 def test_a_count_that_is_not_an_integer_is_a_value_error(entry, value, c4, monkeypatch):
     # refused before any step, never a TypeError from range or a comparison
-    calls = {**COUNTED_CALLS, **CAPPED_CALLS,
-             "classify step_cap": lambda g, x: cf.classify(g, [1, 1, 1, 1], step_cap=x)}
     monkeypatch.setattr(parallel, "_step_raw", None)
     with pytest.raises(ValueError, match=r"must be an integer, got |sampled mode needs"):
-        calls[entry](c4, value)
+        if entry in CAPPED_CALLS:
+            # the variable holds each value's repr: "3" arrives quoted, as
+            # an env file may leave it
+            monkeypatch.setenv("CHIPFIRE_STATE_CAP", repr(value))
+            CAPPED_CALLS[entry](c4)
+        else:
+            COUNTED_CALLS[entry](c4, value)
+
+
+# one below each count's least value
+BELOW_LEAST = {
+    "verify_corpus sampled c": -1,
+    "random_instance_suite count": -1,
+    "random_instance_suite n_max": 2,
+    "seq_run move_budget": -1,
+    "check_abelian n_orders": -1,
+}
+
+
+@pytest.mark.parametrize("entry", list(BELOW_LEAST))
+def test_a_count_below_its_least_is_a_value_error(entry, c4, monkeypatch):
+    value = BELOW_LEAST[entry]
+    monkeypatch.setattr(parallel, "_step_raw", None)
+    with pytest.raises(ValueError, match=rf" must be >= {value + 1}, got {value}$"):
+        COUNTED_CALLS[entry](c4, value)
 
 
 def test_a_bool_count_is_taken_as_an_int(c4):
@@ -392,11 +420,14 @@ class TestAgainstReference:
     @given(graph_and_config())
     @settings(max_examples=100, deadline=None)
     def test_brent_matches_map(self, gc):
-        # cap of 1 forces the fallback immediately; the explicit step
-        # budget keeps this a correctness test, not a budget-sizing one
+        # a cap of 1 forces the fallback, _brent, at once; the explicit step
+        # budget keeps this a correctness test, not a budget-sizing one.
+        # classify reads its outcome off these three: preperiod, period and
+        # the cycle's entry state
         g, candy = gc
-        forced = cf.classify(g, candy, state_cap=1, step_cap=100_000)
-        assert forced == cf.classify(g, candy)
+        candy = tuple(candy)
+        forced = parallel._walk(g, candy, 1, 100_000)
+        assert forced[2:] == parallel._walk(g, candy, DEFAULT_STATE_CAP, 100_000)[2:]
 
     @given(graph_and_config(max_candy=6))
     @settings(max_examples=150, deadline=None)
@@ -408,9 +439,9 @@ class TestAgainstReference:
         g, candy = gc
         full = _record_orbit(g, candy)
         rounds = len(full[1])
-        with mock.patch.object(parallel, "_BRENT_BUDGET_FACTOR", 100_000):
-            for cap in {1, 2, max(1, rounds // 2), rounds, rounds + 1}:
-                assert _record_orbit(g, candy, cap) == full
+        for cap in {1, 2, max(1, rounds // 2), rounds, rounds + 1}:
+            walk = parallel._walk(g, tuple(candy), cap, 100_000)
+            assert parallel._complete_record(g, walk) == full
 
     @given(graph_and_config(max_candy=6))
     @settings(max_examples=150, deadline=None)
@@ -427,14 +458,15 @@ class TestAgainstReference:
         states, fired, *found = parallel._walk(g, candy, DEFAULT_STATE_CAP, budget)
         assert found[:2] == [preperiod, period]
         assert len(states) == size + 1 and states[-1] == found[2] == states[preperiod]
+        outcome, record = cf.classify(g, candy), _record_orbit(g, candy)
         with mock.patch.object(parallel, "_BRENT_BUDGET_FACTOR", budget):
-            record = _record_orbit(g, candy)
             for cap in {1, size - 1, size, size + 1} - {0}:
                 walk = parallel._walk(g, candy, cap, budget)
                 rounds = min(cap, size)
                 assert walk == (states[:rounds + 1], fired[:rounds], *found), cap
-                assert cf.classify(g, candy, cap, budget) == cf.classify(g, candy), cap
-                assert _record_orbit(g, candy, cap) == record, cap
+                with state_cap_env(cap):
+                    assert cf.classify(g, candy) == outcome, cap
+                    assert _record_orbit(g, candy) == record, cap
 
     @given(graph_and_config(max_candy=6))
     @settings(max_examples=150, deadline=None)

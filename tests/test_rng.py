@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
+import chipfire as cf
 from chipfire.rng import CHUNK, SplitMix64, derive_seed, keyed_u64, mix64
 from conftest import reference_coins
 
@@ -36,6 +37,32 @@ def test_derive_seed_frozen_values():
     assert derive_seed(0, 1) == 538020821241227815
     assert derive_seed(0, 1, 2) == 10392176082764252608
     assert derive_seed(42, 7) == 3946045432723756557
+
+
+SEEDED_CALLS = {
+    "SplitMix64": SplitMix64,
+    "derive_seed": lambda s: derive_seed(s, 1),
+    "keyed_u64": lambda s: keyed_u64(s, 0),
+    "random_config": lambda s: cf.random_config(4, 4, s),
+    "sweep_experiment": lambda s: cf.sweep_experiment(cf.generate("cycle", 4), [4], 1, s),
+    "verify_corpus": lambda s: cf.verify_corpus(cf.generate("cycle", 4), 4, "sampled", 1, s),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "1", float("nan")])
+@pytest.mark.parametrize("entry", list(SEEDED_CALLS))
+def test_a_seed_that_is_not_an_integer_is_a_value_error(entry, seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        SEEDED_CALLS[entry](seed)
+
+
+def test_a_seed_keeps_its_stream_modulo_two_to_the_64():
+    # a negative seed is the same stream as its residue mod 2^64, and a
+    # bool the int it is
+    for seed, same in ((-1, 2**64 - 1), (-(2**70) + 5, 5), (True, 1)):
+        assert SplitMix64(seed).next_u64() == SplitMix64(same).next_u64()
+        assert derive_seed(seed, 3) == derive_seed(same, 3)
+        assert keyed_u64(seed, 3) == keyed_u64(same, 3)
 
 
 def test_derive_seed_order_sensitive():

@@ -8,6 +8,8 @@ import chipfire as cf
 from chipfire.errors import ResourceExhausted
 from chipfire.sequential import move_log_csv, seq_run
 
+from conftest import state_cap_env
+
 
 def test_single_move_termination(p3):
     out = seq_run(p3, [1, 0, 0], "lowest_index")
@@ -82,8 +84,8 @@ def test_unknown_policy_rejected(p3):
 
 
 def test_deterministic_state_cap(k2):
-    with pytest.raises(ResourceExhausted):
-        seq_run(k2, [10**6, 0], "lowest_index", state_cap=3)
+    with state_cap_env(3), pytest.raises(ResourceExhausted):
+        seq_run(k2, [10**6, 0], "lowest_index")
 
 
 def test_move_log_golden(p3):

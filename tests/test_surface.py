@@ -1,5 +1,7 @@
 """The package's public names: the pinned list, and that each one resolves."""
 
+import inspect
+
 import chipfire as cf
 
 PUBLIC = [
@@ -72,3 +74,13 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in cf.__all__:
         assert hasattr(cf, name), name
+
+
+def test_no_public_callable_takes_a_cap_override():
+    # CHIPFIRE_STATE_CAP is the one way to set the state cap, and the step
+    # budget is always 64x it
+    for name in cf.__all__:
+        value = getattr(cf, name)
+        if callable(value) and not isinstance(value, type):
+            params = inspect.signature(value).parameters
+            assert not {"state_cap", "step_cap"} & set(params), name
