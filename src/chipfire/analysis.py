@@ -71,7 +71,7 @@ from itertools import chain, islice
 from operator import attrgetter, ge, le, sub
 from typing import Iterable, Optional, Sequence
 
-from .errors import Disconnected, InvalidGraph
+from .errors import Disconnected, InvalidGraph, _as_count
 from .graph import Graph, stabilization_threshold
 from .oracle import (
     DEFAULT_ENUM_CAP,
@@ -84,7 +84,6 @@ from .oracle import (
 from .parallel import (
     _BRENT_BUDGET_FACTOR,
     Configuration,
-    _as_count,
     _coerce,
     _complete_record,
     _default_state_cap,

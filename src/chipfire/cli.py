@@ -45,14 +45,17 @@ EXIT_RESOURCE = 4
 # Largest graph a generator spec or an edge-list file may ask for, checked
 # before anything is built: at most MAX_SPEC_VERTICES vertices, and at
 # most MAX_SPEC_PAIRS vertex pairs for complete and gnp or listed edges
-# for a file.  Measured on one 2.1 GHz Xeon vCPU:
-# random_tree:10000 builds in 4.1 s and 30 MB (the reach bitsets hold n^2
-# bits, 12.5 MB per copy at this cap), and the slowest sparse kind,
-# path:10000, in 106 s.  complete spends about 1.2 us and ~240 bytes on
-# every vertex pair, an edge each: complete:1000 builds in 0.6-0.7 s and
-# 119-136 MB peak.  gnp draws its coins in lane-packed chunks, about
-# 0.14 us a pair: gnp:1000,0.01 walks its 499 500 pairs in 0.07 s per
-# G(n, p) attempt.
+# for a file.  Measured on one 2.1 GHz Xeon vCPU, best of 5, tracemalloc
+# peak: a tree or a cycle takes its diameter from BFS, so path:10000
+# builds in 24 ms and 4.6 MB, random_tree:10000 in 47 ms and 3.5 MB and
+# cycle:10000 in 11 ms.  Any other graph keeps the reach pass, d sweeps
+# over n-bit masks (n^2 bits, 12.5 MB per copy at this cap): an edge-list
+# path with one chord builds in 0.67 s at 2000 vertices, as path:2000 did
+# on that pass, so at this cap it costs about what path:10000 did there,
+# 106 s.  complete spends about 1.2 us and ~240 bytes on every vertex
+# pair, an edge each: complete:1000 builds in 0.6-0.7 s and 119-136 MB
+# peak.  gnp draws its coins in lane-packed chunks, about 0.14 us a pair:
+# gnp:1000,0.01 walks its 499 500 pairs in 0.07 s per G(n, p) attempt.
 MAX_SPEC_VERTICES = 10_000
 MAX_SPEC_PAIRS = 500_000
 

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for counts.
+
+Every integer input (a count, a cap, a size, a seed, a key) goes through
+_as_int, operator.index, so a bool or an __index__ type is taken and a
+float, even an integral one, a string, None or nan is a ValueError naming
+the input; a count or cap then goes through _as_count's range check.
+"""
+
+from operator import index
 
 
 class ChipfireError(Exception):
@@ -31,3 +39,21 @@ class SizeMismatch(ChipfireError):
 
 class ResourceExhausted(ChipfireError):
     """A configured cap (orbit store, enumeration count, step budget) was exceeded."""
+
+
+def _as_int(value, name: str) -> int:
+    """value through operator.index; anything else is a ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_count(value, name: str, least: int = 0) -> int:
+    """A count or cap as an int, taken through _as_int as a candy count is
+    (a bool is 0 or 1), and at least least: a smaller int is a ValueError
+    naming it too."""
+    value = _as_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value

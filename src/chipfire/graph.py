@@ -1,13 +1,32 @@
 """Finite simple undirected graphs: construction, parsing, generation, metrics.
 
 Vertices are always 0..n-1.  Graph.build computes connectivity and the
-diameter in one word-parallel pass and keeps nothing of size n^2: each
-vertex's reach set is an int bitmask, and every pass ORs in the
-neighbours' masks, growing each set by one hop, in O(d * m) big-int ORs
-(the masks, n^2 bits in all, are dropped once build returns).  A Graph
-has no distance matrix: pairwise distances come from a BFS per source
-row (Graph.distances_from), which the pairwise pass-count gap check runs
-only in the one round where it scans every pair.
+diameter once, by the cheapest exact rule the graph's structure allows,
+and keeps nothing of size n^2:
+
+- m = n - 1: a BFS from vertex 0 (_bfs) tells whether the graph is
+  connected, and a connected graph with n - 1 edges is a tree.  On a tree
+  a vertex farthest from any start is an end of a longest path, so a
+  second BFS from it reaches the diameter: O(n) in all.
+- m = n and every degree 2: the graph is a union of cycles, and one
+  BFS from vertex 0 tells whether it is a single one.  A cycle of n
+  vertices has diameter n // 2: O(n).
+- any other graph: the word-parallel reach pass, _reach_diameter.  Each
+  vertex's reach set is an int bitmask, and every pass ORs in the
+  neighbours' masks, growing each set by one hop, in O(d * m) big-int
+  ORs (the masks, n^2 bits in all, are dropped once build returns).
+  BFS sweeps are exact in general only with a per-graph budget of
+  sweeps (iFUB, Crescenzi et al., TCS 2013), so they are kept to the
+  two structures above, where they need none.
+
+A Graph has no distance matrix: pairwise distances come from a BFS per
+source row (Graph.distances_from, the same _bfs), which the pairwise
+pass-count gap check runs only in the one round where it scans every
+pair.
+
+generate's n goes through the package's count rule (errors._as_int): a
+float, string or None is a ValueError naming it.  Its p, when given,
+must be a real number in [0, 1], else InvalidGraph.
 
 generate("random_connected", n, p, seed) is G(n, p) conditioned on
 connectivity by retrying: attempt a draws from the splitmix64 stream
@@ -21,13 +40,21 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, islice
 from typing import Iterable, Optional
 
-from .errors import Disconnected, EmptyGraph, InvalidGraph, ParseError, Unsatisfiable
+from .errors import (
+    Disconnected,
+    EmptyGraph,
+    InvalidGraph,
+    ParseError,
+    Unsatisfiable,
+    _as_int,
+)
 from .rng import CHUNK, SplitMix64, derive_seed
 
 GENERATOR_KINDS = ("cycle", "path", "complete", "star", "random_tree", "random_connected")
@@ -65,18 +92,7 @@ class Graph:
 
     def distances_from(self, src: int) -> list[int]:
         """BFS distances from src to every vertex, -1 where unreachable."""
-        adjacency = self.adjacency
-        dist = [-1] * self.n
-        dist[src] = 0
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            du = dist[u] + 1
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = du
-                    q.append(w)
-        return dist
+        return _bfs(self.adjacency, src)
 
     @cached_property
     def fire_at(self) -> tuple[float, ...]:
@@ -132,8 +148,39 @@ class Graph:
             adj[v].append(u)
         adjacency = tuple(tuple(sorted(a)) for a in adj)
         degree = tuple(len(a) for a in adjacency)
-        diameter = _reach_diameter(n, norm)
+        if len(norm) == n - 1:
+            diameter = _tree_diameter(adjacency)
+        elif len(norm) == n and degree.count(2) == n:
+            diameter = n // 2 if -1 not in _bfs(adjacency, 0) else None
+        else:
+            diameter = _reach_diameter(n, norm)
         return Graph(n, tuple(norm), adjacency, degree, diameter is not None, diameter)
+
+
+def _bfs(adjacency, src: int) -> list[int]:
+    """BFS distances from src to every vertex, -1 where unreachable."""
+    dist = [-1] * len(adjacency)
+    dist[src] = 0
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        du = dist[u] + 1
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                q.append(w)
+    return dist
+
+
+def _tree_diameter(adjacency) -> Optional[int]:
+    """The diameter of a graph with n - 1 edges, or None when it is
+    disconnected.  Connected, it is a tree, and a vertex farthest from
+    vertex 0 ends a longest path, so the farthest distance from it is
+    the diameter."""
+    dist = _bfs(adjacency, 0)
+    if -1 in dist:
+        return None
+    return max(_bfs(adjacency, dist.index(max(dist))))
 
 
 def _reach_diameter(n: int, edges) -> Optional[int]:
@@ -229,9 +276,12 @@ def generate(kind: str, n: int, p: Optional[float] = None, seed: int = 0) -> Gra
 
     kind is one of cycle | path | complete | star | random_tree |
     random_connected; the random kinds are pure functions of (n, p, seed).
-    Raises InvalidGraph for size constraints a kind cannot meet and
-    Unsatisfiable when random_connected exhausts its retry budget.
+    Raises ValueError for an n that is not an integer, EmptyGraph for
+    n <= 0, InvalidGraph for size constraints a kind cannot meet or a p
+    that is not a real number in [0, 1], and Unsatisfiable when
+    random_connected exhausts its retry budget.
     """
+    n = _as_int(n, "n")
     if n <= 0:
         raise EmptyGraph("generation needs n >= 1")
     if kind == "cycle":
@@ -251,8 +301,8 @@ def generate(kind: str, n: int, p: Optional[float] = None, seed: int = 0) -> Gra
     if kind == "random_connected":
         if p is None:
             raise InvalidGraph("random_connected needs an edge probability p")
-        if not (0.0 <= p <= 1.0):
-            raise InvalidGraph(f"edge probability {p} outside [0, 1]")
+        if not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise InvalidGraph(f"edge probability {p!r} outside [0, 1]")
         return _random_connected(n, p, seed)
     raise InvalidGraph(f"unknown generator kind {kind!r}")
 

@@ -34,9 +34,9 @@ from functools import partial
 from math import comb, factorial, log, log1p, log2, perm
 from typing import Callable, Iterator, Optional, Union
 
-from .errors import ResourceExhausted
+from .errors import ResourceExhausted, _as_count
 from .graph import Graph
-from .parallel import Configuration, _as_count
+from .parallel import Configuration
 from .rng import SplitMix64
 
 DEFAULT_ENUM_CAP = 10_000_000

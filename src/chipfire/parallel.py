@@ -35,7 +35,7 @@ a battery scan applies to its own walk).  That record is the checks'
 only input: a GameTrace, which run records for output, is never
 checked, and it derives one view from its fired tuples, the pass counts
 at a round (pass_at).  Every count and cap is checked once, in
-_as_count.  The state cap has one way in, CHIPFIRE_STATE_CAP, read by
+errors._as_count.  The state cap has one way in, CHIPFIRE_STATE_CAP, read by
 _default_state_cap, and every walk's step budget past it is 64x the cap.
 
 trace_csv formats each distinct vertex index and candy value of a trace
@@ -51,7 +51,7 @@ from itertools import chain, compress
 from operator import ge, index, lt
 from typing import Sequence, Union
 
-from .errors import ResourceExhausted, SizeMismatch
+from .errors import ResourceExhausted, SizeMismatch, _as_count
 from .graph import Graph
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -169,20 +169,6 @@ class EventuallyPeriodic:
 
 
 Outcome = Union[Stabilized, EventuallyPeriodic]
-
-
-def _as_count(value, name: str, least: int = 0) -> int:
-    """A count or cap as an int, taken through operator.index as a candy
-    count is (a bool is 0 or 1), and at least least: a float, even an
-    integral one, a string, None or a smaller int is a ValueError naming
-    it."""
-    try:
-        value = index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def _coerce(g: Graph, conf) -> tuple[int, ...]:

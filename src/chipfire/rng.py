@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+
+from .errors import _as_int
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,14 +53,6 @@ def _lanes() -> tuple[int, int, int]:
     return one, one * _MASK, int.from_bytes(ramp, "little")
 
 
-def _seed(seed) -> int:
-    """seed through operator.index; anything else is a ValueError naming it."""
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-
-
 def mix64(z: int) -> int:
     """splitmix64 finalizer: avalanche a 64-bit value."""
     z &= _MASK
@@ -73,9 +66,10 @@ def keyed_u64(seed: int, index: int) -> int:
 
     Pure function of (seed, index); used where the contract is one draw
     per position, e.g. the sequential engine's random policy keyed by
-    (seed, move index).
+    (seed, move index).  seed and index go through errors._as_int: a
+    float, string or None is a ValueError naming it.
     """
-    return mix64((_seed(seed) + (index + 1) * _GOLDEN) & _MASK)
+    return mix64((_as_int(seed, "seed") + (_as_int(index, "index") + 1) * _GOLDEN) & _MASK)
 
 
 class SplitMix64:
@@ -84,7 +78,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = _seed(seed) & _MASK
+        self._state = _as_int(seed, "seed") & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
@@ -149,9 +143,11 @@ def derive_seed(seed: int, *keys: int) -> int:
 
     Used to hand each trial / instance its own stream without the streams
     overlapping: derive_seed(s, i) != derive_seed(s, j) for i != j in
-    practice (full-avalanche mixing of every key).
+    practice (full-avalanche mixing of every key).  seed and every key
+    go through errors._as_int: a float, string or None is a ValueError
+    naming it.
     """
-    s = mix64(_seed(seed))
+    s = mix64(_as_int(seed, "seed"))
     for k in keys:
-        s = mix64(s ^ mix64(k & _MASK) ^ _GOLDEN)
+        s = mix64(s ^ mix64(_as_int(k, "key") & _MASK) ^ _GOLDEN)
     return s

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ResourceExhausted
+from .errors import ResourceExhausted, _as_count
 from .graph import Graph
-from .parallel import Configuration, _as_count, _coerce, _default_state_cap
+from .parallel import Configuration, _coerce, _default_state_cap
 from .rng import derive_seed, keyed_u64
 
 POLICIES = ("lowest_index", "highest_candy", "random")

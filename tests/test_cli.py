@@ -323,6 +323,20 @@ def test_random_config_with_a_huge_total_returns():
     assert out["stop"] == "fixed_point"
 
 
+@pytest.mark.parametrize("spec", ["path:10000", "tree:10000,seed=1"])
+def test_a_tree_at_the_spec_cap_builds(spec):
+    # a tree's diameter costs two BFS, not the reach pass's d sweeps over
+    # every edge, which took minutes on path:10000
+    src = str(Path(cf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "simulate", spec, "concentrated:0,0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["n"], out["m"], out["stop"]) == (10_000, 9_999, "fixed_point")
+
+
 # spec and edge-list pieces: sizes either small or far past the caps, so
 # no input builds a large graph; Unicode digits, which int() accepts;
 # floats a size or a probability must refuse; ids that are negative,

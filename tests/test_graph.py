@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import chipfire as cf
+from chipfire import graph as graph_module
 from chipfire.errors import (
     Disconnected,
     EmptyGraph,
@@ -13,6 +14,7 @@ from chipfire.errors import (
     ParseError,
     Unsatisfiable,
 )
+from chipfire.graph import _reach_diameter
 
 
 def floyd_warshall(n, edges):
@@ -121,6 +123,106 @@ class TestReachBuild:
         assert not hasattr(g, "distance")
 
 
+def _build_matches_references(n, edges):
+    """Graph.build's connectivity and diameter, and validate's
+    connectivity, equal the reach pass's and Floyd-Warshall's."""
+    g = cf.Graph.build(n, edges)
+    ref = floyd_warshall(n, edges)
+    connected = all(d < float("inf") for row in ref for d in row)
+    reach = _reach_diameter(n, g.edges)
+    assert g.connected == connected == (reach is not None)
+    assert cf.validate(g).connected == connected
+    if connected:
+        assert g.diameter == reach == max(max(row) for row in ref)
+    else:
+        with pytest.raises(Disconnected):
+            g.diameter
+    return g
+
+
+def _relabel(draw, n, edges):
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+@st.composite
+def labelled_trees(draw, least=1, most=40):
+    """A random labelled tree: each vertex v >= 1 hangs from one of 0..v-1,
+    then the labels are shuffled."""
+    n = draw(st.integers(min_value=least, max_value=most))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    return _relabel(draw, n, edges)
+
+
+def _cycle_edges(sizes, start=0):
+    edges = []
+    for size in sizes:
+        ring = range(start, start + size)
+        edges += [(v, ring[(i + 1) % size]) for i, v in enumerate(ring)]
+        start += size
+    return edges
+
+
+@st.composite
+def cycle_unions(draw):
+    """A disjoint union of one to three cycles, relabelled: 2-regular,
+    connected only when it is one cycle."""
+    sizes = draw(st.lists(st.integers(min_value=3, max_value=12), min_size=1, max_size=3))
+    return _relabel(draw, sum(sizes), _cycle_edges(sizes))
+
+
+@st.composite
+def disconnected_tree_counts(draw):
+    """n - 1 edges on n vertices, yet disconnected: a tree (down to one
+    isolated vertex) beside a union of cycles, relabelled."""
+    t, edges = draw(labelled_trees(most=15))
+    sizes = draw(st.lists(st.integers(min_value=3, max_value=8), min_size=1, max_size=2))
+    return _relabel(draw, t + sum(sizes), edges + _cycle_edges(sizes, start=t))
+
+
+class TestStructuralDiameter:
+    @given(st.one_of(labelled_trees(), cycle_unions(), disconnected_tree_counts(), small_graphs()))
+    def test_matches_reach_pass_and_floyd_warshall(self, graph):
+        _build_matches_references(*graph)
+
+    @given(disconnected_tree_counts())
+    def test_n_minus_one_edges_can_be_disconnected(self, graph):
+        n, edges = graph
+        assert len(edges) == n - 1
+        assert not _build_matches_references(n, edges).connected
+
+    @pytest.mark.parametrize("n, edges, diameter", [
+        (1, [], 0),
+        (2, [], None),
+        (2, [(0, 1)], 1),
+        (3, [(0, 1), (1, 2), (0, 2)], 1),  # the triangle: 2-regular, d = 3 // 2
+        (3, [(0, 1)], None),
+        (4, [(0, 1), (1, 2), (0, 2)], None),  # a triangle and an isolated vertex
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], None),  # two triangles
+    ])
+    def test_pinned_small_cases(self, n, edges, diameter):
+        g = _build_matches_references(n, edges)
+        assert g.connected == (diameter is not None)
+        if diameter is not None:
+            assert g.diameter == diameter
+
+    def test_trees_and_cycles_skip_the_reach_pass(self, monkeypatch):
+        def refused(n, edges):
+            raise AssertionError("reach pass run")
+
+        monkeypatch.setattr(graph_module, "_reach_diameter", refused)
+        assert cf.generate("path", 10_000).diameter == 9_999
+        assert cf.generate("cycle", 10_001).diameter == 5_000
+        assert cf.generate("star", 50).diameter == 2
+        assert cf.generate("random_tree", 500, seed=3).connected
+        assert not cf.Graph.build(6, _cycle_edges([3, 3])).connected
+        # every other graph keeps the reach pass
+        with pytest.raises(AssertionError, match="reach pass run"):
+            cf.generate("complete", 4)
+        with pytest.raises(AssertionError, match="reach pass run"):
+            cf.Graph.build(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+
+
 class TestGenerate:
     def test_cycle(self):
         g = cf.generate("cycle", 5)
@@ -176,6 +278,19 @@ class TestGenerate:
     def test_random_connected_bad_p(self):
         with pytest.raises(InvalidGraph):
             cf.generate("random_connected", 5, p=1.5)
+
+    @pytest.mark.parametrize("p", ["x", "0.5", 1 + 0j, float("nan"), -0.1])
+    def test_random_connected_p_not_a_real_in_range(self, p):
+        # refused with the documented error, never a TypeError from <=
+        with pytest.raises(InvalidGraph, match=r"^edge probability .* outside \[0, 1\]$"):
+            cf.generate("random_connected", 5, p=p, seed=1)
+
+    @pytest.mark.parametrize("kind", ["cycle", "path", "random_tree"])
+    @pytest.mark.parametrize("n", [3.5, 4.0, 2.5, "4"])
+    def test_n_that_is_not_an_integer_is_a_value_error(self, kind, n):
+        # 2.5 is not "too small" for a cycle: it is not a size at all
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            cf.generate(kind, n)
 
     def test_random_connected_hopeless_p(self):
         # p = 0 can never connect three vertices, so retries must give up

@@ -306,6 +306,9 @@ COUNTED_CALLS = {
     "random_instance_suite n_max": lambda g, x: cf.random_instance_suite(1, 1, n_max=x),
     "seq_run move_budget": lambda g, x: seq_run(g, [2, 2, 2, 2], move_budget=x),
     "check_abelian n_orders": lambda g, x: cf.check_abelian(g, [1, 0, 0, 0], n_orders=x),
+    "generate n": lambda g, x: cf.generate("cycle", x),
+    "derive_seed key": lambda g, x: cf.derive_seed(1, x),
+    "keyed_u64 index": lambda g, x: cf.keyed_u64(1, x),
 }
 NOT_INTEGERS = [2.5, "3", None, float("nan")]
 
