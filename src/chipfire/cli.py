@@ -51,11 +51,12 @@ EXIT_RESOURCE = 4
 # cycle:10000 in 11 ms.  Any other graph keeps the reach pass, d sweeps
 # over n-bit masks (n^2 bits, 12.5 MB per copy at this cap): an edge-list
 # path with one chord builds in 0.67 s at 2000 vertices, as path:2000 did
-# on that pass, so at this cap it costs about what path:10000 did there,
-# 106 s.  complete spends about 1.2 us and ~240 bytes on every vertex
-# pair, an edge each: complete:1000 builds in 0.6-0.7 s and 119-136 MB
-# peak.  gnp draws its coins in lane-packed chunks, about 0.14 us a pair:
-# gnp:1000,0.01 walks its 499 500 pairs in 0.07 s per G(n, p) attempt.
+# on that pass, so at this cap it costs about what path:10000 did there:
+# 54 s of `simulate` wall time in one run, 106 s in another.  complete
+# spends about 1.2 us and ~240 bytes on every vertex pair, an edge each:
+# complete:1000 builds in 0.6-0.7 s and 119-136 MB peak.  gnp draws its
+# coins in lane-packed chunks, about 0.14 us a pair: gnp:1000,0.01 walks
+# its 499 500 pairs in 0.07 s per G(n, p) attempt.
 MAX_SPEC_VERTICES = 10_000
 MAX_SPEC_PAIRS = 500_000
 

@@ -326,7 +326,7 @@ def test_random_config_with_a_huge_total_returns():
 @pytest.mark.parametrize("spec", ["path:10000", "tree:10000,seed=1"])
 def test_a_tree_at_the_spec_cap_builds(spec):
     # a tree's diameter costs two BFS, not the reach pass's d sweeps over
-    # every edge, which took minutes on path:10000
+    # every edge, which took 54-106 s on path:10000
     src = str(Path(cf.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "chipfire.cli", "simulate", spec, "concentrated:0,0"],

@@ -285,13 +285,6 @@ class TestGenerate:
         with pytest.raises(InvalidGraph, match=r"^edge probability .* outside \[0, 1\]$"):
             cf.generate("random_connected", 5, p=p, seed=1)
 
-    @pytest.mark.parametrize("kind", ["cycle", "path", "random_tree"])
-    @pytest.mark.parametrize("n", [3.5, 4.0, 2.5, "4"])
-    def test_n_that_is_not_an_integer_is_a_value_error(self, kind, n):
-        # 2.5 is not "too small" for a cycle: it is not a size at all
-        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
-            cf.generate(kind, n)
-
     def test_random_connected_hopeless_p(self):
         # p = 0 can never connect three vertices, so retries must give up
         with pytest.raises(Unsatisfiable):
